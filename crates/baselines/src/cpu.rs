@@ -81,7 +81,7 @@ pub fn measure_gate(params: &TfheParameters, iterations: usize, seed: u64) -> Cp
 /// ([`BootstrapKey::generate_for_benchmark`]); works at any `N`,
 /// including set IV's 16384.
 pub fn measure_pbs_benchmark_key(params: &TfheParameters, iterations: usize) -> CpuMeasurement {
-    let bsk = BootstrapKey::generate_for_benchmark(params);
+    let bsk = BootstrapKey::generate_for_benchmark(params, PbsKernel::Classical);
     let lut = Lut::sign(params.polynomial_size, encode_fraction(1, 3));
     // The mask must be non-zero: blind rotation skips iterations whose
     // modulus-switched mask element is 0, so a trivial (zero-mask)
@@ -125,7 +125,7 @@ pub fn measure_pbs_benchmark_key(params: &TfheParameters, iterations: usize) -> 
 /// implicitly uses — its NN times imply PBS-parallel execution across
 /// the Xeon's cores, not the single-thread latency of Table V.
 pub fn measure_parallel_pbs(params: &TfheParameters, threads: usize, per_thread: usize) -> f64 {
-    let bsk = BootstrapKey::generate_for_benchmark(params);
+    let bsk = BootstrapKey::generate_for_benchmark(params, PbsKernel::Classical);
     let lut = Lut::sign(params.polynomial_size, encode_fraction(1, 3));
     let mut raw: Vec<u64> = (0..params.lwe_dimension as u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)

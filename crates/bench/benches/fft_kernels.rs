@@ -3,16 +3,18 @@
 //!
 //! The seed path is reconstructed here, faithfully, from the pieces
 //! that still ship: the natural-order [`FftPlan`] (kept as the
-//! correctness oracle) plus the explicit fold/twist, untwist and
-//! normalisation passes the seed `NegacyclicFft` performed around it.
-//! The production path is today's [`NegacyclicFft`] — DIF/DIT kernel,
-//! no permutation pass, fused twist and untwist/normalise stages.
+//! correctness oracle in `strix_fft::reference`) plus the explicit
+//! fold/twist, untwist and normalisation passes the seed
+//! `NegacyclicFft` performed around it. The production path is today's
+//! [`NegacyclicFft`] — DIF/DIT kernel, no permutation pass, fused twist
+//! and untwist/normalise stages — transforming a batch of one.
 //!
 //! Acceptance bar (ISSUE 4): the forward+inverse pair at N=1024 must
 //! be ≥ 1.5× faster on the new kernel than on the seed kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use strix_fft::{Complex64, FftPlan, NegacyclicFft, SoaSpectrum, StrixFftBackend};
+use strix_fft::reference::FftPlan;
+use strix_fft::{Complex64, NegacyclicFft, SoaSpectrum, StrixFftBackend};
 
 /// The seed negacyclic transform: explicit twist tables around the
 /// natural-order radix-2 `FftPlan`, exactly as the seed
@@ -78,11 +80,11 @@ fn bench_transform_pair(c: &mut Criterion) {
         });
 
         group.bench_with_input(BenchmarkId::new("bitrev_fused_pair", n), &n, |b, _| {
-            let mut spec = vec![Complex64::ZERO; n / 2];
+            let mut spec = SoaSpectrum::new(1, n / 2);
             let mut time = vec![0.0f64; n];
             b.iter(|| {
-                new.forward_i64(&poly, &mut spec).unwrap();
-                new.backward_f64(&mut spec, &mut time).unwrap();
+                new.forward_i64_many(&poly, &mut spec).unwrap();
+                new.backward_f64_many(&mut spec, &mut time).unwrap();
                 time[0]
             })
         });
@@ -93,8 +95,8 @@ fn bench_transform_pair(c: &mut Criterion) {
         });
 
         group.bench_with_input(BenchmarkId::new("bitrev_fused_forward", n), &n, |b, _| {
-            let mut spec = vec![Complex64::ZERO; n / 2];
-            b.iter(|| new.forward_i64(&poly, &mut spec).unwrap())
+            let mut spec = SoaSpectrum::new(1, n / 2);
+            b.iter(|| new.forward_i64_many(&poly, &mut spec).unwrap())
         });
     }
     group.finish();

@@ -1,9 +1,10 @@
-//! Criterion micro-benchmarks of the FFT substrate: forward/inverse
-//! complex transforms, the folded negacyclic transform, and negacyclic
-//! multiplication FFT-vs-schoolbook.
+//! Criterion micro-benchmarks of the FFT substrate: the natural-order
+//! reference complex transform, the folded negacyclic transform (a
+//! batch of one), and negacyclic multiplication FFT-vs-schoolbook.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use strix_fft::{reference, Complex64, FftPlan, NegacyclicFft};
+use strix_fft::reference::{self, FftPlan};
+use strix_fft::{Complex64, NegacyclicFft, SoaSpectrum};
 
 fn bench_complex_fft(c: &mut Criterion) {
     let mut group = c.benchmark_group("complex_fft");
@@ -31,8 +32,8 @@ fn bench_negacyclic_transform(c: &mut Criterion) {
         let poly: Vec<i64> = (0..n as i64).map(|i| (i * 31 % 1024) - 512).collect();
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("forward_i64", n), &n, |b, _| {
-            let mut spec = vec![Complex64::ZERO; n / 2];
-            b.iter(|| fft.forward_i64(&poly, &mut spec).unwrap())
+            let mut spec = SoaSpectrum::new(1, n / 2);
+            b.iter(|| fft.forward_i64_many(&poly, &mut spec).unwrap())
         });
     }
     group.finish();

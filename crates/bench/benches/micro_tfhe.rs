@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the TFHE kernels: gadget
-//! decomposition, external product, blind rotation, keyswitching, and
-//! a full bootstrapped gate — the CPU-side cost centres of Fig. 1.
+//! decomposition, a full bootstrap (one job through the batched
+//! driver), keyswitching, and a full bootstrapped gate — the CPU-side
+//! cost centres of Fig. 1.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use strix_tfhe::bootstrap::{encode_bool, BootstrapKey, Lut};
@@ -26,7 +27,7 @@ fn bench_pbs_and_gate(c: &mut Criterion) {
 
     // Full PBS at the paper's set I (the Table V CPU measurement).
     let params = TfheParameters::set_i();
-    let bsk = BootstrapKey::generate_for_benchmark(&params);
+    let bsk = BootstrapKey::generate_for_benchmark(&params, PbsKernel::Classical);
     let lut = Lut::sign(params.polynomial_size, encode_fraction(1, 3));
     let mut raw: Vec<u64> = (0..params.lwe_dimension as u64)
         .map(|i| i.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1)

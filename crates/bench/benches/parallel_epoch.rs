@@ -1,10 +1,10 @@
 //! Parallel-epoch PBS scaling: one epoch of key-major batched
 //! bootstraps sharded across 1/2/4/8 scoped threads via
-//! `BootstrapKey::bootstrap_batch_parallel`, reporting achieved PBS/s
+//! `BootstrapKey::bootstrap_batch`, reporting achieved PBS/s
 //! per thread count and the speedup over the sequential path.
 //!
 //! Every shard shares the one bootstrapping key and runs on its own
-//! allocation-free `PbsScratch`, so the measured scaling is the
+//! allocation-free scratch, so the measured scaling is the
 //! software ceiling of the paper's two-level batching: core-level
 //! batching inside each shard, device-level parallelism across shards.
 //!
@@ -37,7 +37,7 @@ impl EpochFixture {
     /// shape as a real one) and uniformly random ciphertexts, so every
     /// CMUX iteration does full rotate/decompose/FFT/VMA work.
     fn new(params: &TfheParameters) -> Self {
-        let bsk = BootstrapKey::generate_for_benchmark(params);
+        let bsk = BootstrapKey::generate_for_benchmark(params, PbsKernel::Classical);
         let mut rng = NoiseSampler::from_seed(0x5712);
         let cts = (0..EPOCH)
             .map(|_| {
@@ -74,7 +74,7 @@ fn parallel_epoch(c: &mut Criterion) {
     group.throughput(Throughput::Elements(EPOCH as u64));
     for threads in THREAD_COUNTS {
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| black_box(fixture.bsk.bootstrap_batch_parallel(&jobs, t).unwrap()));
+            b.iter(|| black_box(fixture.bsk.bootstrap_batch(&jobs, t).unwrap()));
         });
     }
     group.finish();
@@ -85,7 +85,7 @@ fn parallel_epoch(c: &mut Criterion) {
     let measure = |threads: usize| -> f64 {
         let t0 = Instant::now();
         for _ in 0..reps {
-            black_box(fixture.bsk.bootstrap_batch_parallel(&jobs, threads).unwrap());
+            black_box(fixture.bsk.bootstrap_batch(&jobs, threads).unwrap());
         }
         (reps * EPOCH) as f64 / t0.elapsed().as_secs_f64()
     };

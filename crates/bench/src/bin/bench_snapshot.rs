@@ -14,7 +14,7 @@
 //! the default is the paper's 128-bit set II, measured with the
 //! timing-equivalent benchmark bootstrapping key (same arithmetic
 //! shape as a real key, instant keygen). `--threads T` sets the
-//! intra-epoch shard count fed to `bootstrap_batch_parallel`.
+//! intra-epoch shard count fed to `bootstrap_batch`.
 //!
 //! `--kernel both|classical|multi_bit` (default `both`) selects which
 //! PBS kernels to measure: the classical blind rotation, the grouped
@@ -34,10 +34,10 @@
 //! SIMD kernel backend the measured transforms run on; the snapshot
 //! records the *resolved* backend (`kernel_backend`) plus the host's
 //! detected CPU features, and a `fft_backends` table timing every
-//! backend available on the host side by side. The per-backend rows
-//! run the batched SoA entry points (per-transform µs at a batch of
-//! 8) — the path the SIMD dispatch actually covers; the `fft` rows
-//! keep the historical single-transform measurement.
+//! backend available on the host side by side. Every FFT row runs the
+//! batched SoA entry points and reports per-transform µs: the
+//! per-backend rows at a batch of 8, the `fft` rows at a batch of one
+//! (a single transform).
 //!
 //! `--baseline <file>` compares the fresh numbers against a previous
 //! snapshot and prints a warn-only report (exit status stays 0 — CI
@@ -47,12 +47,12 @@
 
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use strix_fft::{detected_cpu_features, Complex64, NegacyclicFft, SoaSpectrum, StrixFftBackend};
-use strix_tfhe::bootstrap::{BootstrapKey, Lut, MultiBitBootstrapKey, PbsJob};
+use strix_fft::{detected_cpu_features, NegacyclicFft, SoaSpectrum, StrixFftBackend};
+use strix_tfhe::bootstrap::{BootstrapKey, Lut, PbsJob};
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::profiler::{PbsStage, StageTimings};
 use strix_tfhe::torus::encode_fraction;
-use strix_tfhe::TfheParameters;
+use strix_tfhe::{PbsKernel, TfheParameters};
 
 /// Wall-clock budget per measured quantity.
 const BUDGET: Duration = Duration::from_millis(300);
@@ -78,52 +78,19 @@ struct FftRow {
     pair_us: f64,
 }
 
-fn measure_fft(n: usize, backend: StrixFftBackend) -> FftRow {
-    let fft = NegacyclicFft::with_backend(n, backend).unwrap();
-    let poly: Vec<i64> = (0..n as i64).map(|i| (i * 31 % 1024) - 512).collect();
-    let mut spec = vec![Complex64::ZERO; n / 2];
-    let mut time = vec![0.0f64; n];
-
-    let forward = time_per_call(|| fft.forward_i64(&poly, &mut spec).unwrap());
-    fft.forward_i64(&poly, &mut spec).unwrap();
-    let inverse = time_per_call(|| {
-        // The inverse consumes the spectrum as scratch; refresh it so
-        // every iteration transforms honest data.
-        let mut s = spec.clone();
-        fft.backward_f64(&mut s, &mut time).unwrap();
-    });
-    let clone_cost = time_per_call(|| {
-        let s = spec.clone();
-        std::hint::black_box(&s);
-    });
-    let pair = time_per_call(|| {
-        fft.forward_i64(&poly, &mut spec).unwrap();
-        fft.backward_f64(&mut spec, &mut time).unwrap();
-    });
-    FftRow {
-        n,
-        forward_us: forward * 1e6,
-        inverse_us: (inverse - clone_cost).max(0.0) * 1e6,
-        pair_us: pair * 1e6,
-    }
-}
-
 /// Batch width of the per-backend rows: the criterion bench and the
 /// CMUX hot path both run batches of this order ((k+1)·l digit
 /// polynomials per external product).
 const BACKEND_FFT_BATCH: usize = 8;
 
-/// Measures the *batched SoA* entry points (`forward_i64_many` /
-/// `backward_f64_many`) on one backend, reporting per-transform µs.
-/// These — not the single interleaved transforms above — are what the
-/// SIMD backends dispatch, so this is the row where a tier's speedup
-/// (or regression) is visible.
-fn measure_fft_batched(n: usize, backend: StrixFftBackend) -> FftRow {
+/// Times the batched SoA entry points (`forward_i64_many` /
+/// `backward_f64_many`) on one backend at `batch` transforms per call,
+/// reporting per-transform µs.
+fn measure_fft(n: usize, backend: StrixFftBackend, batch: usize) -> FftRow {
     let fft = NegacyclicFft::with_backend(n, backend).unwrap();
-    let polys: Vec<i64> =
-        (0..(n * BACKEND_FFT_BATCH) as i64).map(|i| (i * 31 % 1024) - 512).collect();
-    let mut spec = SoaSpectrum::new(BACKEND_FFT_BATCH, n / 2);
-    let mut time = vec![0.0f64; n * BACKEND_FFT_BATCH];
+    let polys: Vec<i64> = (0..(n * batch) as i64).map(|i| (i * 31 % 1024) - 512).collect();
+    let mut spec = SoaSpectrum::new(batch, n / 2);
+    let mut time = vec![0.0f64; n * batch];
 
     let forward = time_per_call(|| fft.forward_i64_many(&polys, &mut spec).unwrap());
     fft.forward_i64_many(&polys, &mut spec).unwrap();
@@ -141,7 +108,7 @@ fn measure_fft_batched(n: usize, backend: StrixFftBackend) -> FftRow {
         fft.forward_i64_many(&polys, &mut spec).unwrap();
         fft.backward_f64_many(&mut spec, &mut time).unwrap();
     });
-    let per_transform_us = 1e6 / BACKEND_FFT_BATCH as f64;
+    let per_transform_us = 1e6 / batch as f64;
     FftRow {
         n,
         forward_us: forward * per_transform_us,
@@ -372,7 +339,7 @@ fn main() {
     // FFT rows: the per-transform numbers future PRs diff against,
     // measured on the selected backend.
     let fft_sizes: &[usize] = if fast { &[256, 1024] } else { &[1024, 2048] };
-    let fft_rows: Vec<FftRow> = fft_sizes.iter().map(|&n| measure_fft(n, backend)).collect();
+    let fft_rows: Vec<FftRow> = fft_sizes.iter().map(|&n| measure_fft(n, backend, 1)).collect();
 
     // Per-backend FFT rows: every backend the host supports, timed on
     // the same sizes through the batched SoA entry points (the only
@@ -384,7 +351,7 @@ fn main() {
         [StrixFftBackend::Portable, StrixFftBackend::Avx2, StrixFftBackend::Avx512]
             .into_iter()
             .filter(|b| b.is_available())
-            .flat_map(|b| fft_sizes.iter().map(move |&n| (b, measure_fft_batched(n, b))))
+            .flat_map(|b| fft_sizes.iter().map(move |&n| (b, measure_fft(n, b, BACKEND_FFT_BATCH))))
             .collect();
 
     // PBS throughput on the timing-equivalent benchmark keys: one
@@ -392,9 +359,12 @@ fn main() {
     // repeated to fill the budget. Keys are generated only for the
     // kernels actually measured (the multi-bit key is 2^g/g times the
     // classical footprint: 2x at g = 2, 2.67x at g = 3).
-    let bsk = classical_enabled.then(|| BootstrapKey::generate_for_benchmark(&params));
-    let mbsk =
-        multi_bit_enabled.then(|| MultiBitBootstrapKey::generate_for_benchmark(&params, grouping));
+    let bsk = classical_enabled
+        .then(|| BootstrapKey::generate_for_benchmark(&params, PbsKernel::Classical));
+    let mbsk = multi_bit_enabled.then(|| {
+        let kernel = PbsKernel::MultiBit { grouping_factor: grouping };
+        BootstrapKey::generate_for_benchmark(&params, kernel)
+    });
     let lut = Lut::sign(params.polynomial_size, encode_fraction(1, 3));
     // Pseudorandom masks (splitmix64): a trivial zero-mask ciphertext
     // would modulus-switch to all-zero rotations and skip every CMUX,
@@ -415,7 +385,7 @@ fn main() {
         measure_kernel(
             batch,
             |t| {
-                let out = bsk.bootstrap_batch_parallel(&jobs, t).unwrap();
+                let out = bsk.bootstrap_batch(&jobs, t).unwrap();
                 std::hint::black_box(&out);
             },
             |timings| {
@@ -429,7 +399,7 @@ fn main() {
         measure_kernel(
             batch,
             |t| {
-                let out = mb.bootstrap_batch_parallel(&jobs, t).unwrap();
+                let out = mb.bootstrap_batch(&jobs, t).unwrap();
                 std::hint::black_box(&out);
             },
             |timings| {

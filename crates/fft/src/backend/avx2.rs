@@ -23,13 +23,11 @@
 
 use core::arch::x86_64::{
     __m256d, __m256i, _mm256_add_pd, _mm256_blend_epi32, _mm256_castsi256_pd, _mm256_loadu_pd,
-    _mm256_loadu_si256, _mm256_mul_pd, _mm256_permute4x64_pd, _mm256_set1_epi64x, _mm256_set1_pd,
-    _mm256_srli_epi64, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
-    _mm256_xor_pd, _mm256_xor_si256,
+    _mm256_loadu_si256, _mm256_mul_pd, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_srli_epi64,
+    _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd, _mm256_xor_si256,
 };
 
 use super::portable;
-use crate::complex::Complex64;
 
 /// f64 lanes per AVX2 vector.
 const LANES: usize = 4;
@@ -62,29 +60,6 @@ fn ldi(s: &[i64], j: usize) -> __m256i {
     // SAFETY: the assertion above guarantees LANES readable i64 values
     // starting at offset j; unaligned access is permitted by loadu.
     unsafe { _mm256_loadu_si256(s.as_ptr().add(j).cast()) }
-}
-
-/// Loads 4 `f64` lanes (= 2 complex values) from an interleaved
-/// `Complex64` slice at complex offset `j`.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-fn ldc(s: &[Complex64], j: usize) -> __m256d {
-    assert!(j + 2 <= s.len(), "simd load out of bounds");
-    // SAFETY: the assertion guarantees 2 readable Complex64 values at
-    // offset j, and Complex64 is repr(C) { re: f64, im: f64 }, so they
-    // are exactly 4 contiguous f64s.
-    unsafe { _mm256_loadu_pd(s.as_ptr().add(j).cast()) }
-}
-
-/// Stores 4 `f64` lanes (= 2 complex values) to an interleaved
-/// `Complex64` slice at complex offset `j`.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-fn stc(s: &mut [Complex64], j: usize, v: __m256d) {
-    assert!(j + 2 <= s.len(), "simd store out of bounds");
-    // SAFETY: the assertion guarantees 2 writable Complex64 slots at
-    // offset j; repr(C) makes them 4 contiguous f64s.
-    unsafe { _mm256_storeu_pd(s.as_mut_ptr().add(j).cast(), v) }
 }
 
 /// Lane-wise negation as a sign-bit flip — bit-identical to scalar
@@ -638,48 +613,6 @@ pub(crate) fn mul_add_soa(
         let pi = a_re[j] * b_im[j] + a_im[j] * b_re[j];
         acc_re[j] += pr;
         acc_im[j] += pi;
-        j += 1;
-    }
-}
-
-/// Mixed-layout VMA: interleaved `acc` and `a`, split key planes.
-///
-/// The interleaved operands are deinterleaved in-register with
-/// `unpacklo/hi` (yielding the scrambled-but-consistent lane order
-/// `[z0, z2, z1, z3]`), the key planes are permuted into the same
-/// order, and the products are re-interleaved on the way out — so the
-/// arithmetic itself is plain lane-wise mul/add/sub, bit-identical to
-/// the scalar loop.
-#[target_feature(enable = "avx2,fma")]
-pub(crate) fn mul_add_key(acc: &mut [Complex64], a: &[Complex64], b_re: &[f64], b_im: &[f64]) {
-    let n = acc.len();
-    // Permutation (0, 2, 1, 3) matching the unpack lane order.
-    const SCRAMBLE: i32 = 0b11_01_10_00;
-    let mut j = 0;
-    while j + LANES <= n {
-        let a0 = ldc(a, j);
-        let a1 = ldc(a, j + 2);
-        // [re0, re2, re1, re3] / [im0, im2, im1, im3]
-        let ar = _mm256_unpacklo_pd(a0, a1);
-        let ai = _mm256_unpackhi_pd(a0, a1);
-        let br = _mm256_permute4x64_pd::<SCRAMBLE>(ld(b_re, j));
-        let bi = _mm256_permute4x64_pd::<SCRAMBLE>(ld(b_im, j));
-        let (pr, pi) = cmulv(ar, ai, br, bi);
-        let s0 = ldc(acc, j);
-        let s1 = ldc(acc, j + 2);
-        let sr = _mm256_add_pd(_mm256_unpacklo_pd(s0, s1), pr);
-        let si = _mm256_add_pd(_mm256_unpackhi_pd(s0, s1), pi);
-        stc(acc, j, _mm256_unpacklo_pd(sr, si));
-        stc(acc, j + 2, _mm256_unpackhi_pd(sr, si));
-        j += LANES;
-    }
-    while j < n {
-        let (s, x) = (&mut acc[j], a[j]);
-        let (br, bi) = (b_re[j], b_im[j]);
-        let pr = x.re * br - x.im * bi;
-        let pi = x.re * bi + x.im * br;
-        s.re += pr;
-        s.im += pi;
         j += 1;
     }
 }

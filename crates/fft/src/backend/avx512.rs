@@ -12,11 +12,6 @@
 //! `_mm512_cvtepi64_pd` performs the full-range conversion with a
 //! single rounding, exactly like scalar `as f64`, so no
 //! magic-constant dance is needed here.
-//!
-//! The mixed-layout `mul_add_key` kernel is *not* duplicated at 512
-//! bits: its deinterleave/permute overhead grows faster than the lane
-//! width pays back, so the dispatcher routes that operation to the
-//! AVX2 implementation on AVX-512 machines too.
 
 use core::arch::x86_64::{
     __m512d, __m512i, _mm512_add_pd, _mm512_cvtepi64_pd, _mm512_loadu_pd, _mm512_loadu_si512,

@@ -5,7 +5,7 @@
 //! hand-scheduled lane-parallel hardware, not compiler output. This
 //! module is the software analogue: the batched butterfly stages, the
 //! fused fold/twist and untwist/unfold passes, the i64→f64 torus
-//! conversions, and the pointwise VMA kernels are each implemented
+//! conversions, and the pointwise VMA kernel are each implemented
 //! three times —
 //!
 //! * [`portable`] — the autovectorised scalar loops (the former inline
@@ -45,7 +45,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::complex::Complex64;
 use crate::error::FftError;
 
 pub(crate) mod portable;
@@ -470,29 +469,6 @@ pub(crate) fn mul_add_soa(
             avx512::mul_add_soa(acc_re, acc_im, a_re, a_im, b_re, b_im)
         },
         _ => portable::mul_add_soa(acc_re, acc_im, a_re, a_im, b_re, b_im),
-    }
-}
-
-/// Mixed-layout VMA: interleaved accumulator and `a`, split key
-/// planes — `acc_k += a_k · (b_re_k + i·b_im_k)`.
-#[inline]
-pub(crate) fn mul_add_key(
-    backend: StrixFftBackend,
-    acc: &mut [Complex64],
-    a: &[Complex64],
-    b_re: &[f64],
-    b_im: &[f64],
-) {
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2` implies runtime-detected avx2+fma. The
-        // AVX-512 backend routes here too: the deinterleave shuffles
-        // this op needs cost more at 512-bit width than the extra
-        // lanes recover, and avx512f implies avx2 at the feature level.
-        StrixFftBackend::Avx2 | StrixFftBackend::Avx512 => unsafe {
-            avx2::mul_add_key(acc, a, b_re, b_im)
-        },
-        _ => portable::mul_add_key(acc, a, b_re, b_im),
     }
 }
 

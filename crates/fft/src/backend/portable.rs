@@ -11,13 +11,11 @@
 //! Loop shape notes (preserved from the originals): operands are
 //! pre-split to exact lengths so the compiler drops the bounds checks
 //! and emits packed arithmetic; complex multiplies all go through
-//! [`cmul`], which is exactly [`Complex64::mul`]'s expression.
-
-use crate::complex::Complex64;
+//! [`cmul`], which is exactly [`crate::Complex64`]'s `Mul` expression.
 
 /// Scalar complex multiply on split operands — exactly
-/// [`Complex64::mul`]'s expression, so SoA and AoS paths round
-/// identically.
+/// [`crate::Complex64`]'s `Mul` expression, so the split kernels round
+/// like the interleaved reference.
 #[inline(always)]
 pub(crate) fn cmul(ar: f64, ai: f64, br: f64, bi: f64) -> (f64, f64) {
     (ar * br - ai * bi, ar * bi + ai * br)
@@ -310,15 +308,5 @@ pub(crate) fn mul_add_soa(
         let pi = a_re[j] * b_im[j] + a_im[j] * b_re[j];
         acc_re[j] += pr;
         acc_im[j] += pi;
-    }
-}
-
-/// Mixed-layout VMA: interleaved `acc` and `a`, split key planes.
-pub(crate) fn mul_add_key(acc: &mut [Complex64], a: &[Complex64], b_re: &[f64], b_im: &[f64]) {
-    for (((s, x), &br), &bi) in acc.iter_mut().zip(a).zip(b_re).zip(b_im) {
-        let pr = x.re * br - x.im * bi;
-        let pi = x.re * bi + x.im * br;
-        s.re += pr;
-        s.im += pi;
     }
 }

@@ -10,12 +10,7 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A complex number with `f64` real and imaginary parts.
-///
-/// `repr(C)` pins the `(re, im)` field order in memory: the SIMD
-/// backends load interleaved `[Complex64]` slices as packed `f64`
-/// pairs, which is only sound with a guaranteed layout.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[repr(C)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,

@@ -31,12 +31,13 @@
 //!   `log2(n)` is odd — half the stage count (and half the twiddle
 //!   multiplies) of the radix-2 seed kernel.
 //!
-//! The natural-order [`crate::FftPlan`] is kept alongside as the
-//! correctness oracle; [`SpectralPlan::permutation`] gives the exact
-//! bin→slot map connecting the two conventions.
+//! Every transform runs on split-complex ([`SoaSpectrum`]) batches;
+//! a single transform is a batch of one. The natural-order
+//! [`crate::reference::FftPlan`] is kept as the correctness oracle;
+//! [`SpectralPlan::permutation`] gives the exact bin→slot map
+//! connecting the two conventions.
 
 use crate::backend::{self, StrixFftBackend};
-use crate::complex::Complex64;
 use crate::error::FftError;
 use crate::is_pow2_at_least;
 use crate::soa::SoaSpectrum;
@@ -50,21 +51,14 @@ enum Radix {
 
 /// One butterfly stage: all blocks of length `len` across the array.
 ///
-/// Twiddle layout is stage-major and kept in **both** storage
-/// conventions, built from the same values so the two are bit-equal:
-///
-/// * interleaved ([`Complex64`]) for the AoS path — radix-2 stages
-///   store `len/2` factors `w^j`; radix-4 stages store `len/4`
-///   *triples* `(w^j, w^{2j}, w^{3j})` interleaved, so the inner loop
-///   walks one contiguous table;
-/// * split (`tw_re`/`tw_im` planes, power-major: all `w^j`, then all
-///   `w^{2j}`, then all `w^{3j}`) for the SoA path, so its inner loops
-///   touch no interleaved data at all.
+/// Twiddles are stage-major split planes (`tw_re`/`tw_im`): radix-2
+/// stages store `len/2` factors `w^j`; radix-4 stages store them
+/// power-major — all `w^j`, then all `w^{2j}`, then all `w^{3j}` for
+/// `j < len/4` — so the butterfly loops touch no interleaved data.
 #[derive(Clone, Debug)]
 struct Stage {
     radix: Radix,
     len: usize,
-    twiddles: Vec<Complex64>,
     /// Split real plane (power-major; see type docs).
     tw_re: Vec<f64>,
     /// Split imaginary plane (power-major).
@@ -76,42 +70,20 @@ impl Stage {
     /// (`sign = -1.0` forward, `+1.0` inverse).
     fn new(radix: Radix, len: usize, sign: f64) -> Self {
         let base = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let twiddles: Vec<Complex64> = match radix {
-            Radix::Two => (0..len / 2).map(|j| Complex64::cis(base * j as f64)).collect(),
-            Radix::Four => {
-                let mut t = Vec::with_capacity(3 * (len / 4));
-                for j in 0..len / 4 {
-                    let theta = base * j as f64;
-                    t.push(Complex64::cis(theta));
-                    t.push(Complex64::cis(2.0 * theta));
-                    t.push(Complex64::cis(3.0 * theta));
-                }
-                t
-            }
+        let (powers, count) = match radix {
+            Radix::Two => (1, len / 2),
+            Radix::Four => (3, len / 4),
         };
-        // Split planes hold the same values in power-major order, so
-        // the SoA butterflies consume bit-identical factors.
-        let (mut tw_re, mut tw_im) =
-            (Vec::with_capacity(twiddles.len()), Vec::with_capacity(twiddles.len()));
-        match radix {
-            Radix::Two => {
-                for w in &twiddles {
-                    tw_re.push(w.re);
-                    tw_im.push(w.im);
-                }
-            }
-            Radix::Four => {
-                let q = len / 4;
-                for power in 0..3 {
-                    for j in 0..q {
-                        let w = twiddles[3 * j + power];
-                        tw_re.push(w.re);
-                        tw_im.push(w.im);
-                    }
-                }
+        let (mut tw_re, mut tw_im) = (Vec::new(), Vec::new());
+        for power in 1..=powers {
+            for j in 0..count {
+                // `1.0 · θ` is exact, so every power shares one expression.
+                let theta = power as f64 * (base * j as f64);
+                tw_re.push(theta.cos());
+                tw_im.push(theta.sin());
             }
         }
-        Self { radix, len, twiddles, tw_re, tw_im }
+        Self { radix, len, tw_re, tw_im }
     }
 
     /// Radix as a plain factor (2 or 4).
@@ -124,192 +96,20 @@ impl Stage {
 }
 
 /// Scalar complex multiply on split operands — exactly
-/// [`Complex64::mul`]'s expression, so SoA and AoS paths round
-/// identically.
+/// [`crate::Complex64`]'s `Mul` expression, so the split kernel rounds
+/// like the interleaved reference.
 #[inline(always)]
 fn cmul(ar: f64, ai: f64, br: f64, bi: f64) -> (f64, f64) {
     (ar * br - ai * bi, ar * bi + ai * br)
 }
 
-/// Forward radix-2 DIF butterflies over one block split into halves.
-#[inline]
-fn fwd_radix2(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]) {
-    for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
-        let (x, y) = (*a, *b);
-        *a = x + y;
-        *b = (x - y) * *w;
-    }
-}
-
-/// Inverse radix-2 DIT butterflies (exact stage inverse, unnormalised:
-/// yields 2× the original block values).
-#[inline]
-fn inv_radix2(lo: &mut [Complex64], hi: &mut [Complex64], tw: &[Complex64]) {
-    for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
-        let x = *a;
-        let y = *b * *w;
-        *a = x + y;
-        *b = x - y;
-    }
-}
-
-/// Forward radix-4 butterfly without the twiddle multiplies — the
-/// whole final (`len == 4`) stage has `w = 1`, so the three multiplies
-/// per butterfly would be by unity. Specialising the stage removes
-/// `3·(n/4)` complex multiplies per transform.
-#[inline]
-fn fwd_radix4_unit(
-    a0: Complex64,
-    a1: Complex64,
-    a2: Complex64,
-    a3: Complex64,
-) -> (Complex64, Complex64, Complex64, Complex64) {
-    let p02 = a0 + a2;
-    let m02 = a0 - a2;
-    let p13 = a1 + a3;
-    let m13i = (a1 - a3).mul_i();
-    (p02 + p13, m02 - m13i, p02 - p13, m02 + m13i)
-}
-
-/// Inverse radix-4 butterfly without twiddle multiplies (first inverse
-/// stage, `len == 4`).
-#[inline]
-fn inv_radix4_unit(
-    y0: Complex64,
-    y1: Complex64,
-    y2: Complex64,
-    y3: Complex64,
-) -> (Complex64, Complex64, Complex64, Complex64) {
-    let p02 = y0 + y2;
-    let m02 = y0 - y2;
-    let p13 = y1 + y3;
-    let m13i = (y1 - y3).mul_i();
-    (p02 + p13, m02 + m13i, p02 - p13, m02 - m13i)
-}
-
-/// Forward radix-4 DIF butterfly on four already-loaded lanes; returns
-/// the four outputs in sub-block order `(y0, y1·w, y2·w², y3·w³)`.
-#[inline]
-fn fwd_radix4_core(
-    a0: Complex64,
-    a1: Complex64,
-    a2: Complex64,
-    a3: Complex64,
-    w1: Complex64,
-    w2: Complex64,
-    w3: Complex64,
-) -> (Complex64, Complex64, Complex64, Complex64) {
-    let p02 = a0 + a2;
-    let m02 = a0 - a2;
-    let p13 = a1 + a3;
-    let m13i = (a1 - a3).mul_i();
-    (p02 + p13, (m02 - m13i) * w1, (p02 - p13) * w2, (m02 + m13i) * w3)
-}
-
-/// Inverse radix-4 DIT butterfly (exact stage inverse, unnormalised:
-/// yields 4× the original lane values).
-#[inline]
-fn inv_radix4_core(
-    y0: Complex64,
-    y1: Complex64,
-    y2: Complex64,
-    y3: Complex64,
-    w1: Complex64,
-    w2: Complex64,
-    w3: Complex64,
-) -> (Complex64, Complex64, Complex64, Complex64) {
-    let u1 = y1 * w1;
-    let u2 = y2 * w2;
-    let u3 = y3 * w3;
-    let p02 = y0 + u2;
-    let m02 = y0 - u2;
-    let p13 = u1 + u3;
-    let m13i = (u1 - u3).mul_i();
-    (p02 + p13, m02 + m13i, p02 - p13, m02 - m13i)
-}
-
-/// Applies one forward stage in place across the whole array.
-fn apply_fwd_stage(stage: &Stage, data: &mut [Complex64]) {
-    if stage.len == 4 && stage.radix == Radix::Four {
-        for block in data.chunks_exact_mut(4) {
-            let (y0, y1, y2, y3) = fwd_radix4_unit(block[0], block[1], block[2], block[3]);
-            block[0] = y0;
-            block[1] = y1;
-            block[2] = y2;
-            block[3] = y3;
-        }
-        return;
-    }
-    for block in data.chunks_exact_mut(stage.len) {
-        match stage.radix {
-            Radix::Two => {
-                let (lo, hi) = block.split_at_mut(stage.len / 2);
-                fwd_radix2(lo, hi, &stage.twiddles);
-            }
-            Radix::Four => {
-                let q = stage.len / 4;
-                let (q0, rest) = block.split_at_mut(q);
-                let (q1, rest) = rest.split_at_mut(q);
-                let (q2, q3) = rest.split_at_mut(q);
-                for ((((a, b), c), d), w) in
-                    q0.iter_mut().zip(q1).zip(q2).zip(q3).zip(stage.twiddles.chunks_exact(3))
-                {
-                    let (y0, y1, y2, y3) = fwd_radix4_core(*a, *b, *c, *d, w[0], w[1], w[2]);
-                    *a = y0;
-                    *b = y1;
-                    *c = y2;
-                    *d = y3;
-                }
-            }
-        }
-    }
-}
-
-/// Applies one inverse stage in place across the whole array.
-fn apply_inv_stage(stage: &Stage, data: &mut [Complex64]) {
-    if stage.len == 4 && stage.radix == Radix::Four {
-        for block in data.chunks_exact_mut(4) {
-            let (x0, x1, x2, x3) = inv_radix4_unit(block[0], block[1], block[2], block[3]);
-            block[0] = x0;
-            block[1] = x1;
-            block[2] = x2;
-            block[3] = x3;
-        }
-        return;
-    }
-    for block in data.chunks_exact_mut(stage.len) {
-        match stage.radix {
-            Radix::Two => {
-                let (lo, hi) = block.split_at_mut(stage.len / 2);
-                inv_radix2(lo, hi, &stage.twiddles);
-            }
-            Radix::Four => {
-                let q = stage.len / 4;
-                let (q0, rest) = block.split_at_mut(q);
-                let (q1, rest) = rest.split_at_mut(q);
-                let (q2, q3) = rest.split_at_mut(q);
-                for ((((a, b), c), d), w) in
-                    q0.iter_mut().zip(q1).zip(q2).zip(q3).zip(stage.twiddles.chunks_exact(3))
-                {
-                    let (x0, x1, x2, x3) = inv_radix4_core(*a, *b, *c, *d, w[0], w[1], w[2]);
-                    *a = x0;
-                    *b = x1;
-                    *c = x2;
-                    *d = x3;
-                }
-            }
-        }
-    }
-}
-
-/// One forward SoA stage over one transform's split planes. Mirrors
-/// [`apply_fwd_stage`] operation for operation: every butterfly
-/// computes the same IEEE expressions in the same order, so the two
-/// layouts produce bit-identical spectra — on every backend, since the
-/// SIMD kernels pin the identical per-element expressions (see
-/// [`crate::backend`]). The twiddle-less unit stage (`len == 4`
-/// radix-4) stays scalar here: its add/sub network autovectorises
-/// fully and has no contiguous-lane structure worth dispatching.
+/// One forward stage over one transform's split planes, dispatched to
+/// the plan's kernel backend. Every backend computes the same IEEE
+/// expressions in the same order, so spectra are bit-identical across
+/// backends (see [`crate::backend`]). The twiddle-less unit stage
+/// (`len == 4` radix-4, where every `w = 1`) stays scalar here: its
+/// add/sub network autovectorises fully and has no contiguous-lane
+/// structure worth dispatching.
 fn apply_fwd_stage_soa(kb: StrixFftBackend, stage: &Stage, re: &mut [f64], im: &mut [f64]) {
     let len = stage.len;
     if len == 4 && stage.radix == Radix::Four {
@@ -336,9 +136,10 @@ fn apply_fwd_stage_soa(kb: StrixFftBackend, stage: &Stage, re: &mut [f64], im: &
     }
 }
 
-/// One inverse SoA stage over one transform's split planes — the exact
-/// mirror of [`apply_inv_stage`] (same expressions, same order,
-/// bit-identical results on every backend).
+/// One inverse stage over one transform's split planes — the exact
+/// stage inverse of [`apply_fwd_stage_soa`] (unnormalised: a radix-`r`
+/// stage yields `r×` the original values), bit-identical on every
+/// backend.
 fn apply_inv_stage_soa(kb: StrixFftBackend, stage: &Stage, re: &mut [f64], im: &mut [f64]) {
     let len = stage.len;
     if len == 4 && stage.radix == Radix::Four {
@@ -369,26 +170,32 @@ fn apply_inv_stage_soa(kb: StrixFftBackend, stage: &Stage, re: &mut [f64], im: &
 /// transform emits the spectrum digit-reversed, the inverse consumes
 /// exactly that ordering, and no permutation pass ever runs.
 ///
-/// Use this kernel when spectra are consumed pointwise (convolution
-/// via [`crate::pointwise_mul_add`]); use [`crate::FftPlan`] when a
-/// natural-order spectrum is required.
+/// Transforms run on split-complex [`SoaSpectrum`] batches (a single
+/// transform is a batch of one). Use this kernel when spectra are
+/// consumed pointwise (convolution via [`crate::pointwise_mul_add_soa`]);
+/// use [`crate::reference::FftPlan`] when a natural-order spectrum is
+/// required.
 ///
 /// # Example
 ///
 /// Round trip without any permutation:
 ///
 /// ```
-/// use strix_fft::{Complex64, SpectralPlan};
+/// use strix_fft::{SoaSpectrum, SpectralPlan};
 ///
 /// # fn main() -> Result<(), strix_fft::FftError> {
 /// let plan = SpectralPlan::new(8)?;
-/// let input: Vec<Complex64> =
-///     (0..8).map(|i| Complex64::new(i as f64, -(i as f64))).collect();
-/// let mut data = input.clone();
-/// plan.forward(&mut data)?; // digit-reversed spectrum
-/// plan.inverse(&mut data)?; // natural order again
-/// for (a, b) in data.iter().zip(&input) {
-///     assert!((*a - *b).abs() < 1e-12);
+/// let mut batch = SoaSpectrum::new(1, 8);
+/// let (re, im) = batch.transform_mut(0);
+/// for i in 0..8 {
+///     re[i] = i as f64;
+///     im[i] = -(i as f64);
+/// }
+/// let input = batch.clone();
+/// plan.forward_many(&mut batch)?; // digit-reversed spectrum
+/// plan.inverse_many(&mut batch)?; // natural order again
+/// for (a, b) in batch.re_plane().iter().zip(input.re_plane()) {
+///     assert!((a - b).abs() < 1e-12);
 /// }
 /// # Ok(())
 /// # }
@@ -491,61 +298,16 @@ impl SpectralPlan {
         self.fwd_stages.len()
     }
 
-    /// In-place forward DIF FFT: natural order in, digit-reversed
-    /// spectrum out. Bin `k` of the natural spectrum lands at slot
-    /// [`Self::permutation`]`[k]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `data.len()` differs
-    /// from the plan size.
-    pub fn forward(&self, data: &mut [Complex64]) -> Result<(), FftError> {
-        self.check_len(data.len())?;
-        for stage in &self.fwd_stages {
-            apply_fwd_stage(stage, data);
-        }
-        Ok(())
-    }
-
-    /// In-place unnormalised inverse DIT FFT: digit-reversed spectrum
-    /// in, natural order out, scaled by `n` (dividing is left to the
-    /// caller so the constant can be fused elsewhere, as
-    /// [`crate::NegacyclicFft`] fuses it into its untwist table).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] on size mismatch.
-    pub fn inverse_unnormalized(&self, data: &mut [Complex64]) -> Result<(), FftError> {
-        self.check_len(data.len())?;
-        for stage in &self.inv_stages {
-            apply_inv_stage(stage, data);
-        }
-        Ok(())
-    }
-
-    /// In-place normalised inverse FFT (divides by `n`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] on size mismatch.
-    pub fn inverse(&self, data: &mut [Complex64]) -> Result<(), FftError> {
-        self.inverse_unnormalized(data)?;
-        let scale = 1.0 / self.size as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(scale);
-        }
-        Ok(())
-    }
-
     /// Batched in-place forward DIF FFT over a whole [`SoaSpectrum`]:
     /// every transform goes natural order in → digit-reversed spectrum
-    /// out, exactly like [`Self::forward`], but each butterfly stage
-    /// runs across **all** transforms before the next stage starts, so
-    /// one walk of the stage's twiddle table is amortised over the
-    /// batch and the tables stay cache-hot. Per-transform arithmetic is
-    /// untouched (the stage/transform loops merely interchange), so
-    /// results are **bit-identical** to looping [`Self::forward`] over
-    /// interleaved copies of the same data.
+    /// out (bin `k` of the natural spectrum lands at slot
+    /// [`Self::permutation`]`[k]`), and each butterfly stage runs across
+    /// **all** transforms before the next stage starts, so one walk of
+    /// the stage's twiddle table is amortised over the batch and the
+    /// tables stay cache-hot. Per-transform arithmetic is untouched (the
+    /// stage/transform loops merely interchange), so results are
+    /// **bit-identical** to transforming each spectrum as a batch of
+    /// one.
     ///
     /// # Errors
     ///
@@ -563,9 +325,10 @@ impl SpectralPlan {
     }
 
     /// Batched unnormalised inverse DIT FFT over a whole
-    /// [`SoaSpectrum`]: the stage-across-batch counterpart of
-    /// [`Self::inverse_unnormalized`], bit-identical to looping it per
-    /// transform.
+    /// [`SoaSpectrum`]: digit-reversed spectrum in, natural order out,
+    /// scaled by `n` (dividing is left to the caller so the constant can
+    /// be fused elsewhere, as [`crate::NegacyclicFft`] fuses it into its
+    /// untwist table). Stage-across-batch like [`Self::forward_many`].
     ///
     /// # Errors
     ///
@@ -582,8 +345,7 @@ impl SpectralPlan {
         Ok(())
     }
 
-    /// Batched normalised inverse FFT (divides every transform by `n`),
-    /// bit-identical to looping [`Self::inverse`] per transform.
+    /// Batched normalised inverse FFT (divides every transform by `n`).
     ///
     /// # Errors
     ///
@@ -629,168 +391,18 @@ impl SpectralPlan {
         out
     }
 
-    /// Fold + twist + first forward stage in one out-of-place pass,
-    /// then the remaining stages in place on `out`. `poly` holds the
-    /// `2n` real coefficients (`z_j = poly[j] + i·poly[j+n]` after
-    /// folding), `twist` the `n` per-element twist factors. All
-    /// operands are pre-sliced to exact lengths so the inner loops
-    /// carry no bounds checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `poly.len() != 2n`, `twist.len() != n` or
-    /// `out.len() != n` (callers validate first).
-    pub(crate) fn forward_folded_twisted<T: Copy>(
-        &self,
-        poly: &[T],
-        twist: &[Complex64],
-        out: &mut [Complex64],
-        to_f64: impl Fn(T) -> f64,
-    ) {
-        let n = self.size;
-        assert_eq!(poly.len(), 2 * n, "folded input length mismatch");
-        assert_eq!(twist.len(), n, "twist table length mismatch");
-        assert_eq!(out.len(), n, "output length mismatch");
-        let (re, im) = poly.split_at(n);
-        let Some((first, rest)) = self.fwd_stages.split_first() else {
-            out[0] = Complex64::new(to_f64(re[0]), to_f64(im[0])) * twist[0];
-            return;
-        };
-        match first.radix {
-            Radix::Two => {
-                let q = n / 2;
-                let (re0, re1) = re.split_at(q);
-                let (im0, im1) = im.split_at(q);
-                let (tw0, tw1) = twist.split_at(q);
-                let (o0, o1) = out.split_at_mut(q);
-                let w = &first.twiddles[..q];
-                for j in 0..q {
-                    let x = Complex64::new(to_f64(re0[j]), to_f64(im0[j])) * tw0[j];
-                    let y = Complex64::new(to_f64(re1[j]), to_f64(im1[j])) * tw1[j];
-                    o0[j] = x + y;
-                    o1[j] = (x - y) * w[j];
-                }
-            }
-            Radix::Four => {
-                let q = n / 4;
-                let (o0, r) = out.split_at_mut(q);
-                let (o1, r) = r.split_at_mut(q);
-                let (o2, o3) = r.split_at_mut(q);
-                let w = &first.twiddles[..3 * q];
-                for j in 0..q {
-                    let a0 = Complex64::new(to_f64(re[j]), to_f64(im[j])) * twist[j];
-                    let a1 = Complex64::new(to_f64(re[j + q]), to_f64(im[j + q])) * twist[j + q];
-                    let a2 = Complex64::new(to_f64(re[j + 2 * q]), to_f64(im[j + 2 * q]))
-                        * twist[j + 2 * q];
-                    let a3 = Complex64::new(to_f64(re[j + 3 * q]), to_f64(im[j + 3 * q]))
-                        * twist[j + 3 * q];
-                    let (y0, y1, y2, y3) =
-                        fwd_radix4_core(a0, a1, a2, a3, w[3 * j], w[3 * j + 1], w[3 * j + 2]);
-                    o0[j] = y0;
-                    o1[j] = y1;
-                    o2[j] = y2;
-                    o3[j] = y3;
-                }
-            }
-        }
-        for stage in rest {
-            apply_fwd_stage(stage, out);
-        }
-    }
-
-    /// All inverse stages but the last in place on `spectrum`, then
-    /// the last (whole-array) stage fused with the merged
-    /// untwist+normalise multiply and the unfold into the `2n` real
-    /// output coefficients — the separate untwist and normalisation
-    /// passes never run. Operands are pre-sliced to exact lengths so
-    /// the final loop carries no bounds checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spectrum.len() != n`, `untwist.len() != n` or
-    /// `out.len() != 2n` (callers validate first).
-    pub(crate) fn inverse_folded_untwisted(
-        &self,
-        spectrum: &mut [Complex64],
-        untwist: &[Complex64],
-        out: &mut [f64],
-    ) {
-        let n = self.size;
-        assert_eq!(spectrum.len(), n, "spectrum length mismatch");
-        assert_eq!(untwist.len(), n, "untwist table length mismatch");
-        assert_eq!(out.len(), 2 * n, "output length mismatch");
-        let (out_re, out_im) = out.split_at_mut(n);
-        let Some((last, rest)) = self.inv_stages.split_last() else {
-            let z = spectrum[0] * untwist[0];
-            out_re[0] = z.re;
-            out_im[0] = z.im;
-            return;
-        };
-        for stage in rest {
-            apply_inv_stage(stage, spectrum);
-        }
-        match last.radix {
-            Radix::Two => {
-                let q = n / 2;
-                let (s0, s1) = spectrum.split_at(q);
-                let (u0, u1) = untwist.split_at(q);
-                let (r0, r1) = out_re.split_at_mut(q);
-                let (i0, i1) = out_im.split_at_mut(q);
-                let w = &last.twiddles[..q];
-                for j in 0..q {
-                    let x = s0[j];
-                    let y = s1[j] * w[j];
-                    let z0 = (x + y) * u0[j];
-                    let z1 = (x - y) * u1[j];
-                    r0[j] = z0.re;
-                    i0[j] = z0.im;
-                    r1[j] = z1.re;
-                    i1[j] = z1.im;
-                }
-            }
-            Radix::Four => {
-                let q = n / 4;
-                let w = &last.twiddles[..3 * q];
-                for j in 0..q {
-                    let (x0, x1, x2, x3) = inv_radix4_core(
-                        spectrum[j],
-                        spectrum[j + q],
-                        spectrum[j + 2 * q],
-                        spectrum[j + 3 * q],
-                        w[3 * j],
-                        w[3 * j + 1],
-                        w[3 * j + 2],
-                    );
-                    let z0 = x0 * untwist[j];
-                    let z1 = x1 * untwist[j + q];
-                    let z2 = x2 * untwist[j + 2 * q];
-                    let z3 = x3 * untwist[j + 3 * q];
-                    out_re[j] = z0.re;
-                    out_im[j] = z0.im;
-                    out_re[j + q] = z1.re;
-                    out_im[j + q] = z1.im;
-                    out_re[j + 2 * q] = z2.re;
-                    out_im[j + 2 * q] = z2.im;
-                    out_re[j + 3 * q] = z3.re;
-                    out_im[j + 3 * q] = z3.im;
-                }
-            }
-        }
-    }
-
-    /// Batched split-complex counterpart of
-    /// [`Self::forward_folded_twisted`]: transforms `count` packed
-    /// real `i64` polynomials (each `2n` coefficients, laid out back
-    /// to back in `polys`) into the matching transforms of `batch`.
+    /// Fold + twist + first forward stage, then the remaining stages:
+    /// transforms `count` packed real `i64` polynomials (each `2n`
+    /// coefficients, laid out back to back in `polys`) into the
+    /// matching transforms of `batch`.
     /// The fused fold+twist+first-stage pass runs per transform
     /// straight from the coefficient array — dispatched to the plan's
     /// kernel backend, which also performs the exact i64→f64 torus
     /// conversion in-register; every remaining butterfly stage then
     /// runs **across the whole batch** before the next stage starts,
     /// amortising one twiddle-table walk over all `count` transforms.
-    /// Per-transform arithmetic mirrors the interleaved fused path
-    /// expression for expression, so the spectra are bit-identical to
-    /// it on every backend.
+    /// Per-transform arithmetic is the same on every backend, so the
+    /// spectra are bit-identical across backends.
     ///
     /// # Panics
     ///
@@ -852,12 +464,11 @@ impl SpectralPlan {
         }
     }
 
-    /// Batched split-complex counterpart of
-    /// [`Self::inverse_folded_untwisted`]: every inverse stage but the
-    /// last runs **across the whole batch**, then the fused last
-    /// stage + merged untwist/normalise multiply + unfold writes each
-    /// transform straight into its `2n`-coefficient slot of `out`.
-    /// Bit-identical to the interleaved fused path per transform.
+    /// Every inverse stage but the last runs **across the whole
+    /// batch**, then the fused last stage + merged untwist/normalise
+    /// multiply + unfold writes each transform straight into its
+    /// `2n`-coefficient slot of `out` — the separate untwist and
+    /// normalisation passes never run.
     ///
     /// # Panics
     ///
@@ -930,12 +541,34 @@ impl SpectralPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FftPlan;
+    use crate::complex::Complex64;
+    use crate::reference::FftPlan;
 
     fn sample(n: usize) -> Vec<Complex64> {
         (0..n)
             .map(|i| Complex64::new((i as f64 * 0.37).sin() * 8.0, (i as f64 * 0.61).cos() * 5.0))
             .collect()
+    }
+
+    /// `data` as a batch of one.
+    fn batch_of(data: &[Complex64]) -> SoaSpectrum {
+        let mut batch = SoaSpectrum::new(1, data.len());
+        batch.store(0, data);
+        batch
+    }
+
+    /// Transform 0 of `batch`, interleaved.
+    fn unbatch(batch: &SoaSpectrum) -> Vec<Complex64> {
+        let mut out = vec![Complex64::ZERO; batch.transform_len()];
+        batch.load(0, &mut out);
+        out
+    }
+
+    /// Forward transform of `data` through the batched kernel.
+    fn forward(plan: &SpectralPlan, data: &[Complex64]) -> Vec<Complex64> {
+        let mut batch = batch_of(data);
+        plan.forward_many(&mut batch).unwrap();
+        unbatch(&batch)
     }
 
     #[test]
@@ -948,12 +581,12 @@ mod tests {
     #[test]
     fn rejects_wrong_buffer_length() {
         let plan = SpectralPlan::new(8).unwrap();
-        let mut short = vec![Complex64::ZERO; 4];
+        let mut short = SoaSpectrum::new(1, 4);
         assert_eq!(
-            plan.forward(&mut short).unwrap_err(),
+            plan.forward_many(&mut short).unwrap_err(),
             FftError::LengthMismatch { expected: 8, actual: 4 }
         );
-        assert!(plan.inverse(&mut short).is_err());
+        assert!(plan.inverse_many(&mut short).is_err());
     }
 
     #[test]
@@ -974,8 +607,7 @@ mod tests {
             let plan = SpectralPlan::new(n).unwrap();
             let oracle = FftPlan::new(n).unwrap();
 
-            let mut reversed = input.clone();
-            plan.forward(&mut reversed).unwrap();
+            let reversed = forward(&plan, &input);
             let mut natural = input.clone();
             oracle.forward(&mut natural).unwrap();
 
@@ -993,10 +625,10 @@ mod tests {
             let n = 1usize << log_n;
             let input = sample(n);
             let plan = SpectralPlan::new(n).unwrap();
-            let mut data = input.clone();
-            plan.forward(&mut data).unwrap();
-            plan.inverse(&mut data).unwrap();
-            for (a, b) in data.iter().zip(&input) {
+            let mut data = batch_of(&input);
+            plan.forward_many(&mut data).unwrap();
+            plan.inverse_many(&mut data).unwrap();
+            for (a, b) in unbatch(&data).iter().zip(&input) {
                 assert!((*a - *b).abs() < 1e-9, "n={n}: {a} vs {b}");
             }
         }
@@ -1007,10 +639,10 @@ mod tests {
         let n = 64;
         let input = sample(n);
         let plan = SpectralPlan::new(n).unwrap();
-        let mut data = input.clone();
-        plan.forward(&mut data).unwrap();
-        plan.inverse_unnormalized(&mut data).unwrap();
-        for (a, b) in data.iter().zip(&input) {
+        let mut data = batch_of(&input);
+        plan.forward_many(&mut data).unwrap();
+        plan.inverse_many_unnormalized(&mut data).unwrap();
+        for (a, b) in unbatch(&data).iter().zip(&input) {
             assert!((*a - b.scale(n as f64)).abs() < 1e-8);
         }
     }
@@ -1044,8 +676,7 @@ mod tests {
         let input = sample(n);
         let plan = SpectralPlan::new(n).unwrap();
         let oracle = FftPlan::new(n).unwrap();
-        let mut reversed = input.clone();
-        plan.forward(&mut reversed).unwrap();
+        let reversed = forward(&plan, &input);
         let mut natural = input;
         oracle.forward(&mut natural).unwrap();
         for (slot, &bin) in inverse.iter().enumerate() {
@@ -1056,19 +687,23 @@ mod tests {
     #[test]
     fn fused_forward_matches_plain_forward() {
         // With a unit twist table, the fused fold+twist+first-stage
-        // path must reproduce the plain in-place forward bit for bit.
+        // path must reproduce the plain batched forward bit for bit.
+        // Integer-valued input: the fused path reads `i64` coefficients.
         for n in [1usize, 2, 8, 16, 128, 512] {
-            let input = sample(n);
+            let input: Vec<Complex64> =
+                sample(n).iter().map(|z| Complex64::new(z.re.round(), z.im.round())).collect();
             let plan = SpectralPlan::new(n).unwrap();
-            let mut plain = input.clone();
-            plan.forward(&mut plain).unwrap();
+            let plain = forward(&plan, &input);
             // Fold layout: first n reals, then n imaginaries.
-            let folded: Vec<f64> =
-                input.iter().map(|z| z.re).chain(input.iter().map(|z| z.im)).collect();
-            let ones = vec![Complex64::ONE; n];
-            let mut fused = vec![Complex64::ZERO; n];
-            plan.forward_folded_twisted(&folded, &ones, &mut fused, |v| v);
-            assert_eq!(plain, fused, "n={n}");
+            let folded: Vec<i64> = input
+                .iter()
+                .map(|z| z.re as i64)
+                .chain(input.iter().map(|z| z.im as i64))
+                .collect();
+            let (ones, zeros) = (vec![1.0; n], vec![0.0; n]);
+            let mut fused = SoaSpectrum::new(1, n);
+            plan.forward_folded_twisted_many(&folded, &ones, &zeros, &mut fused);
+            assert_eq!(plain, unbatch(&fused), "n={n}");
         }
     }
 
@@ -1079,16 +714,16 @@ mod tests {
         for n in [1usize, 2, 8, 16, 128, 512] {
             let input = sample(n);
             let plan = SpectralPlan::new(n).unwrap();
-            let mut spec = input.clone();
-            plan.forward(&mut spec).unwrap();
+            let mut spec = batch_of(&input);
+            plan.forward_many(&mut spec).unwrap();
 
             let mut plain = spec.clone();
-            plan.inverse_unnormalized(&mut plain).unwrap();
+            plan.inverse_many_unnormalized(&mut plain).unwrap();
+            let plain = unbatch(&plain);
 
-            let ones = vec![Complex64::ONE; n];
+            let (ones, zeros) = (vec![1.0; n], vec![0.0; n]);
             let mut unfolded = vec![0.0f64; 2 * n];
-            let mut scratch = spec;
-            plan.inverse_folded_untwisted(&mut scratch, &ones, &mut unfolded);
+            plan.inverse_folded_untwisted_many(&mut spec, &ones, &zeros, &mut unfolded);
             for j in 0..n {
                 assert_eq!(plain[j].re, unfolded[j], "re n={n} j={j}");
                 assert_eq!(plain[j].im, unfolded[j + n], "im n={n} j={j}");

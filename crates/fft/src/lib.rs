@@ -20,29 +20,24 @@
 //!   into the last inverse stage,
 //! * [`SoaSpectrum`] — split-complex (structure-of-arrays) batches of
 //!   spectra: one contiguous plane of real parts, one of imaginary
-//!   parts, the layout under which the batched transform entry points
-//!   ([`SpectralPlan::forward_many`], [`NegacyclicFft::forward_i64_many`],
-//!   [`NegacyclicFft::backward_f64_many`]) and the fused four-array VMA
-//!   ([`pointwise_mul_add_soa`]) autovectorise into packed `f64`
-//!   arithmetic — bit-identical to the interleaved kernel,
-//! * [`FftPlan`] — the seed iterative radix-2 decimation-in-time FFT
-//!   with natural-order spectra, kept as the correctness oracle for the
-//!   kernel (and for callers that genuinely need natural bin order),
-//! * [`FftScratch`] — caller-owned buffers for allocation-free loops of
-//!   whole negacyclic products; the `forward_*`/`backward_*` entry
-//!   points are scratch-taking by design (they write into caller
-//!   buffers and never allocate), which is what `strix-tfhe`'s larger
-//!   per-thread PBS scratch builds on,
+//!   parts. This is the **only** spectral layout: every transform
+//!   entry point ([`SpectralPlan::forward_many`],
+//!   [`NegacyclicFft::forward_i64_many`],
+//!   [`NegacyclicFft::backward_f64_many`]) takes a batch — a single
+//!   transform is a batch of one — and the fused four-array VMA
+//!   ([`pointwise_mul_add_soa`]) autovectorises into packed `f64`
+//!   arithmetic,
 //! * [`StrixFftBackend`] — the pluggable kernel-backend layer: the
 //!   SoA butterfly stages, the fused fold/twist and untwist/unfold
-//!   passes, and the VMA kernels each exist as a portable scalar
+//!   passes, and the VMA kernel each exist as a portable scalar
 //!   reference plus explicit AVX2 and AVX-512 implementations,
 //!   selected by runtime CPU detection at plan construction (or forced
 //!   via [`SpectralPlan::with_backend`] / the `STRIX_FFT_BACKEND`
 //!   environment variable) — every backend bit-identical to the
 //!   scalar oracle,
-//! * [`mod@reference`] — exact schoolbook negacyclic convolution used as the
-//!   correctness oracle in tests and for small parameter sets.
+//! * [`mod@reference`] — the correctness oracles: exact schoolbook
+//!   negacyclic convolution, and [`reference::FftPlan`], the
+//!   natural-order radix-2 FFT the kernel is tested against.
 //!
 //! # Example
 //!
@@ -65,8 +60,8 @@ mod complex;
 mod error;
 mod kernel;
 mod negacyclic;
+#[cfg(test)]
 mod plan;
-pub mod planner;
 pub mod reference;
 mod soa;
 
@@ -74,11 +69,7 @@ pub use backend::{detected_cpu_features, StrixFftBackend, BACKEND_ENV_VAR};
 pub use complex::Complex64;
 pub use error::FftError;
 pub use kernel::SpectralPlan;
-pub use negacyclic::{
-    pointwise_mul_add, pointwise_mul_add_key, pointwise_mul_add_soa, FftScratch, MonomialTable,
-    NegacyclicFft,
-};
-pub use plan::FftPlan;
+pub use negacyclic::{pointwise_mul_add_soa, MonomialTable, NegacyclicFft};
 pub use soa::SoaSpectrum;
 
 /// Returns `true` if `n` is a power of two greater than or equal to `min`.

@@ -20,7 +20,7 @@
 //! kernel: the forward transform emits the spectrum **digit-reversed**
 //! and the inverse consumes exactly that ordering, so no bit-reversal
 //! permutation pass ever runs. Spectra produced by this type are only
-//! valid for *pointwise* consumption ([`pointwise_mul_add`], the VMA)
+//! valid for *pointwise* consumption ([`pointwise_mul_add_soa`], the VMA)
 //! against spectra produced under the **same plan** — which is all
 //! TFHE ever does with them. [`NegacyclicFft::spectrum_permutation`]
 //! exposes the bin→slot map for diagnostics.
@@ -38,6 +38,10 @@
 //! A transform is therefore exactly its butterfly stages: no
 //! permutation pass, no twist pass, no normalisation pass, and no
 //! direction branch anywhere in the inner loops.
+//!
+//! Every spectrum is split-complex ([`SoaSpectrum`]); the transform
+//! entry points take whole batches, and a single polynomial is a batch
+//! of one.
 
 use crate::backend::{self, StrixFftBackend};
 use crate::complex::Complex64;
@@ -45,41 +49,6 @@ use crate::error::FftError;
 use crate::is_pow2_at_least;
 use crate::kernel::SpectralPlan;
 use crate::soa::SoaSpectrum;
-
-/// Caller-owned scratch buffers for allocation-free negacyclic
-/// arithmetic: two spectra (`N/2` complex points each) and one
-/// time-domain buffer (`N` reals), sized to one [`NegacyclicFft`] plan.
-///
-/// The transform entry points ([`NegacyclicFft::forward_f64`],
-/// [`NegacyclicFft::forward_i64`], [`NegacyclicFft::backward_f64`])
-/// already write into caller-provided buffers and never allocate; this
-/// type bundles correctly-sized instances of those buffers for loops
-/// of whole products ([`NegacyclicFft::negacyclic_mul_i64_scratch`]).
-/// Allocate one per thread and reuse it across operations. (The PBS
-/// CMUX loop needs more state than one product — per-level digits and
-/// `k+1` accumulator spectra — so `strix-tfhe` builds its larger
-/// `PbsScratch` on the same scratch-taking transforms rather than on
-/// this type.)
-#[derive(Clone, Debug)]
-pub struct FftScratch {
-    /// First spectrum buffer (`N/2` points).
-    pub spectrum_a: Vec<Complex64>,
-    /// Second spectrum buffer (`N/2` points).
-    pub spectrum_b: Vec<Complex64>,
-    /// Time-domain buffer (`N` reals).
-    pub time: Vec<f64>,
-}
-
-impl FftScratch {
-    /// Allocates scratch sized to `fft`'s polynomial size.
-    pub fn for_plan(fft: &NegacyclicFft) -> Self {
-        Self {
-            spectrum_a: vec![Complex64::ZERO; fft.fourier_size()],
-            spectrum_b: vec![Complex64::ZERO; fft.fourier_size()],
-            time: vec![0.0f64; fft.poly_size()],
-        }
-    }
-}
 
 /// Negacyclic transform of real polynomials with `N` coefficients using
 /// an `N/2`-point complex FFT under the bit-reversed-spectrum
@@ -106,18 +75,13 @@ impl FftScratch {
 pub struct NegacyclicFft {
     poly_size: usize,
     kernel: SpectralPlan,
-    /// Twist factors `e^{iπj/N}` for `j` in `[0, N/2)`, applied inside
-    /// the first forward stage.
-    twist: Vec<Complex64>,
+    /// Twist factors `e^{iπj/N}` for `j` in `[0, N/2)`, split into
+    /// planes, applied inside the first forward stage.
+    twist_re: Vec<f64>,
+    twist_im: Vec<f64>,
     /// Merged inverse constants `e^{-iπj/N} / (N/2)` — untwist and
     /// normalisation in one multiply, applied inside the last inverse
     /// stage.
-    untwist_norm: Vec<Complex64>,
-    /// Split copies of `twist` (same bits, planar layout) for the SoA
-    /// batched transforms.
-    twist_re: Vec<f64>,
-    twist_im: Vec<f64>,
-    /// Split copies of `untwist_norm` for the SoA batched transforms.
     untwist_re: Vec<f64>,
     untwist_im: Vec<f64>,
 }
@@ -159,27 +123,17 @@ impl NegacyclicFft {
         let half = poly_size / 2;
         let kernel = SpectralPlan::with_backend(half, backend)?;
         let inv_n = 1.0 / half as f64;
-        let mut twist = Vec::with_capacity(half);
-        let mut untwist_norm = Vec::with_capacity(half);
+        let (mut twist_re, mut twist_im) = (Vec::with_capacity(half), Vec::with_capacity(half));
+        let (mut untwist_re, mut untwist_im) = (Vec::with_capacity(half), Vec::with_capacity(half));
         for j in 0..half {
             let theta = std::f64::consts::PI * j as f64 / poly_size as f64;
-            twist.push(Complex64::cis(theta));
-            untwist_norm.push(Complex64::cis(-theta).scale(inv_n));
+            let (twist, untwist) = (Complex64::cis(theta), Complex64::cis(-theta).scale(inv_n));
+            twist_re.push(twist.re);
+            twist_im.push(twist.im);
+            untwist_re.push(untwist.re);
+            untwist_im.push(untwist.im);
         }
-        let twist_re = twist.iter().map(|z| z.re).collect();
-        let twist_im = twist.iter().map(|z| z.im).collect();
-        let untwist_re = untwist_norm.iter().map(|z| z.re).collect();
-        let untwist_im = untwist_norm.iter().map(|z| z.im).collect();
-        Ok(Self {
-            poly_size,
-            kernel,
-            twist,
-            untwist_norm,
-            twist_re,
-            twist_im,
-            untwist_re,
-            untwist_im,
-        })
+        Ok(Self { poly_size, kernel, twist_re, twist_im, untwist_re, untwist_im })
     }
 
     /// Number of coefficients in the time-domain polynomial (`N`).
@@ -196,8 +150,7 @@ impl NegacyclicFft {
     }
 
     /// The resolved kernel backend this transform's batched entry
-    /// points (and [`Self::pointwise_mul_add_soa`] /
-    /// [`Self::pointwise_mul_add_key`]) run on — never
+    /// points (and [`Self::pointwise_mul_add_soa`]) run on — never
     /// [`StrixFftBackend::Auto`].
     #[inline]
     pub fn backend(&self) -> StrixFftBackend {
@@ -213,57 +166,6 @@ impl NegacyclicFft {
         self.kernel.permutation()
     }
 
-    /// Forward transform of a polynomial given as `f64` coefficients.
-    /// The output spectrum is in the plan's digit-reversed slot order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `poly.len() != N` or
-    /// `out.len() != N/2`.
-    pub fn forward_f64(&self, poly: &[f64], out: &mut [Complex64]) -> Result<(), FftError> {
-        self.check_time_len(poly.len())?;
-        self.check_freq_len(out.len())?;
-        self.kernel.forward_folded_twisted(poly, &self.twist, out, |v| v);
-        Ok(())
-    }
-
-    /// Forward transform of a polynomial given as `i64` coefficients
-    /// (e.g. gadget-decomposed digits, which are small signed integers).
-    /// The output spectrum is in the plan's digit-reversed slot order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] on buffer size mismatch.
-    pub fn forward_i64(&self, poly: &[i64], out: &mut [Complex64]) -> Result<(), FftError> {
-        self.check_time_len(poly.len())?;
-        self.check_freq_len(out.len())?;
-        self.kernel.forward_folded_twisted(poly, &self.twist, out, |v| v as f64);
-        Ok(())
-    }
-
-    /// Inverse transform producing `f64` coefficients; normalised so that
-    /// `backward(forward(a)) = a`. Consumes a spectrum in the same
-    /// digit-reversed slot order the forward transforms emit.
-    ///
-    /// `spectrum` is consumed in place as scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] on buffer size mismatch.
-    pub fn backward_f64(
-        &self,
-        spectrum: &mut [Complex64],
-        out: &mut [f64],
-    ) -> Result<(), FftError> {
-        self.check_freq_len(spectrum.len())?;
-        self.check_time_len(out.len())?;
-        // The kernel's fused tail applies the last butterfly stage,
-        // the merged untwist/normalise multiply and the unfold in one
-        // pass over the data.
-        self.kernel.inverse_folded_untwisted(spectrum, &self.untwist_norm, out);
-        Ok(())
-    }
-
     /// Batched forward transform of `count` packed `i64` polynomials
     /// (laid out back to back in `polys`, `N` coefficients each) into
     /// the `count` transforms of `out` — the coefficient-level batching
@@ -271,11 +173,13 @@ impl NegacyclicFft {
     /// polynomials of one external product go through the kernel in
     /// one call, with every butterfly stage run across the whole batch
     /// before the next stage starts ([`SpectralPlan::forward_many`]'s
-    /// schedule) and the fold+twist fused into the first stage exactly
-    /// as in [`Self::forward_i64`].
+    /// schedule) and the fold+twist fused into the first stage. The
+    /// output spectra are in the plan's digit-reversed slot order.
     ///
-    /// Spectra are **bit-identical** to calling [`Self::forward_i64`]
-    /// once per polynomial.
+    /// Spectra are **bit-identical** to transforming each polynomial as
+    /// a batch of one. Torus polynomials transform through this entry
+    /// point too: reinterpreting a `u64` coefficient as `i64` is exactly
+    /// its signed torus representative.
     ///
     /// # Errors
     ///
@@ -287,13 +191,13 @@ impl NegacyclicFft {
         Ok(())
     }
 
-    /// Batched inverse transform: the `count` spectra of `batch`
+    /// Batched inverse transform, normalised so that it undoes
+    /// [`Self::forward_i64_many`]: the `count` spectra of `batch`
     /// (consumed in place as scratch) become `count` packed real
-    /// polynomials in `out`, bit-identical to calling
-    /// [`Self::backward_f64`] once per spectrum. Every inverse stage
-    /// but the last runs across the whole batch; the merged
-    /// untwist+normalise multiply and the unfold are fused into the
-    /// last stage as in the single-transform path.
+    /// polynomials in `out`, bit-identical to inverting each spectrum as
+    /// a batch of one. Every inverse stage but the last runs across the
+    /// whole batch; the merged untwist+normalise multiply and the
+    /// unfold are fused into the last stage.
     ///
     /// # Errors
     ///
@@ -339,27 +243,6 @@ impl NegacyclicFft {
         backend::mul_add_soa(self.backend(), acc_re, acc_im, a_re, a_im, b_re, b_im);
     }
 
-    /// Backend-dispatched form of the free [`pointwise_mul_add_key`]
-    /// mixed-layout VMA: interleaved `acc`/`a`, split key planes.
-    /// Bit-identical to the free function on every backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    #[inline]
-    pub fn pointwise_mul_add_key(
-        &self,
-        acc: &mut [Complex64],
-        a: &[Complex64],
-        b_re: &[f64],
-        b_im: &[f64],
-    ) {
-        assert_eq!(acc.len(), a.len(), "pointwise length mismatch");
-        assert_eq!(acc.len(), b_re.len(), "pointwise length mismatch");
-        assert_eq!(acc.len(), b_im.len(), "pointwise length mismatch");
-        backend::mul_add_key(self.backend(), acc, a, b_re, b_im);
-    }
-
     fn check_batch(&self, time_len: usize, batch: &SoaSpectrum) -> Result<(), FftError> {
         if batch.transform_len() != self.fourier_size() {
             return Err(FftError::LengthMismatch {
@@ -377,8 +260,10 @@ impl NegacyclicFft {
     }
 
     /// Exact negacyclic product of two small-integer polynomials, rounded
-    /// to the nearest integer. Intended for tests and small values; exact
-    /// as long as intermediate magnitudes stay below 2^52.
+    /// to the nearest integer: each operand is transformed as a batch of
+    /// one, multiplied pointwise and transformed back. Intended for
+    /// tests and small values; exact as long as intermediate magnitudes
+    /// stay below 2^52.
     ///
     /// # Errors
     ///
@@ -389,34 +274,18 @@ impl NegacyclicFft {
         b: &[i64],
         out: &mut [i64],
     ) -> Result<(), FftError> {
-        let mut scratch = FftScratch::for_plan(self);
-        self.negacyclic_mul_i64_scratch(a, b, out, &mut scratch)
-    }
-
-    /// As [`Self::negacyclic_mul_i64`] but using caller-provided
-    /// scratch, so repeated products perform no heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] on buffer size mismatch
-    /// (including a scratch sized for a different plan).
-    pub fn negacyclic_mul_i64_scratch(
-        &self,
-        a: &[i64],
-        b: &[i64],
-        out: &mut [i64],
-        scratch: &mut FftScratch,
-    ) -> Result<(), FftError> {
-        self.check_time_len(a.len())?;
-        self.check_time_len(b.len())?;
         self.check_time_len(out.len())?;
-        self.forward_i64(a, &mut scratch.spectrum_a)?;
-        self.forward_i64(b, &mut scratch.spectrum_b)?;
-        for (x, y) in scratch.spectrum_a.iter_mut().zip(&scratch.spectrum_b) {
-            *x *= *y;
-        }
-        self.backward_f64(&mut scratch.spectrum_a, &mut scratch.time)?;
-        for (o, r) in out.iter_mut().zip(&scratch.time) {
+        let half = self.fourier_size();
+        let (mut spec_a, mut spec_b) = (SoaSpectrum::new(1, half), SoaSpectrum::new(1, half));
+        self.forward_i64_many(a, &mut spec_a)?;
+        self.forward_i64_many(b, &mut spec_b)?;
+        let mut product = SoaSpectrum::new(1, half);
+        let (p_re, p_im) = product.transform_mut(0);
+        let ((a_re, a_im), (b_re, b_im)) = (spec_a.transform(0), spec_b.transform(0));
+        self.pointwise_mul_add_soa(p_re, p_im, a_re, a_im, b_re, b_im);
+        let mut time = vec![0.0f64; self.poly_size];
+        self.backward_f64_many(&mut product, &mut time)?;
+        for (o, r) in out.iter_mut().zip(&time) {
             *o = r.round() as i64;
         }
         Ok(())
@@ -425,13 +294,6 @@ impl NegacyclicFft {
     fn check_time_len(&self, len: usize) -> Result<(), FftError> {
         if len != self.poly_size {
             return Err(FftError::LengthMismatch { expected: self.poly_size, actual: len });
-        }
-        Ok(())
-    }
-
-    fn check_freq_len(&self, len: usize) -> Result<(), FftError> {
-        if len != self.fourier_size() {
-            return Err(FftError::LengthMismatch { expected: self.fourier_size(), actual: len });
         }
         Ok(())
     }
@@ -526,51 +388,6 @@ impl MonomialTable {
     }
 }
 
-/// Multiplies `a` and `b` pointwise, accumulating into `acc`:
-/// `acc_k += a_k · b_k`.
-///
-/// This is the software analogue of the Strix VMA unit's
-/// multiply-and-adder-tree datapath operating on Fourier coefficients.
-/// It is ordering-agnostic: with all three operands in the same
-/// (digit-reversed) slot order, the result is the slot-ordered product
-/// spectrum — which is precisely why the bit-reversed-spectrum
-/// convention is free for TFHE.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths (programming error — the
-/// buffers come from plans of matching size).
-#[inline]
-pub fn pointwise_mul_add(acc: &mut [Complex64], a: &[Complex64], b: &[Complex64]) {
-    assert_eq!(acc.len(), a.len(), "pointwise length mismatch");
-    assert_eq!(acc.len(), b.len(), "pointwise length mismatch");
-    for ((s, x), y) in acc.iter_mut().zip(a).zip(b) {
-        *s += *x * *y;
-    }
-}
-
-/// As [`pointwise_mul_add`], but with the second operand in split
-/// (SoA) planes: `acc_k += a_k · (b_re_k + i·b_im_k)`. The complex
-/// multiply uses exactly [`Complex64`]'s expression, so mixing layouts
-/// never changes a bit. This is how the per-job oracle CMUX path
-/// consumes the split-layout bootstrapping key.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn pointwise_mul_add_key(acc: &mut [Complex64], a: &[Complex64], b_re: &[f64], b_im: &[f64]) {
-    assert_eq!(acc.len(), a.len(), "pointwise length mismatch");
-    assert_eq!(acc.len(), b_re.len(), "pointwise length mismatch");
-    assert_eq!(acc.len(), b_im.len(), "pointwise length mismatch");
-    for (((s, x), &br), &bi) in acc.iter_mut().zip(a).zip(b_re).zip(b_im) {
-        let pr = x.re * br - x.im * bi;
-        let pi = x.re * bi + x.im * br;
-        s.re += pr;
-        s.im += pi;
-    }
-}
-
 /// Fully split (structure-of-arrays) fused multiply–accumulate, the
 /// four-array VMA kernel of the coefficient-batched CMUX:
 /// `acc_k += a_k · b_k` with every operand in separate `re`/`im`
@@ -579,8 +396,11 @@ pub fn pointwise_mul_add_key(acc: &mut [Complex64], a: &[Complex64], b_re: &[f64
 /// shuffles — the software shape of the Strix VMA unit's datapath and
 /// of FPT's split-lane layout.
 ///
-/// Per-element arithmetic is exactly [`pointwise_mul_add`]'s, so the
-/// accumulated spectra are bit-identical to the interleaved kernel's.
+/// It is ordering-agnostic: with all three operands in the same
+/// (digit-reversed) slot order, the result is the slot-ordered product
+/// spectrum — which is precisely why the bit-reversed-spectrum
+/// convention is free for TFHE. Per element it computes exactly
+/// [`Complex64`]'s multiply expression.
 ///
 /// # Panics
 ///
@@ -617,6 +437,16 @@ mod tests {
     use super::*;
     use crate::reference;
 
+    /// Forward transform of one polynomial (a batch of one), returned
+    /// as interleaved points in slot order.
+    fn forward(fft: &NegacyclicFft, poly: &[i64]) -> Vec<Complex64> {
+        let mut spec = SoaSpectrum::new(1, fft.fourier_size());
+        fft.forward_i64_many(poly, &mut spec).unwrap();
+        let mut out = vec![Complex64::ZERO; fft.fourier_size()];
+        spec.load(0, &mut out);
+        out
+    }
+
     #[test]
     fn rejects_tiny_or_odd_sizes() {
         assert!(NegacyclicFft::new(1).is_err());
@@ -636,13 +466,13 @@ mod tests {
         for log_n in 1..=11 {
             let n = 1usize << log_n;
             let fft = NegacyclicFft::new(n).unwrap();
-            let poly: Vec<f64> = (0..n).map(|i| ((i * 7919) % 257) as f64 - 128.0).collect();
-            let mut spec = vec![Complex64::ZERO; n / 2];
-            fft.forward_f64(&poly, &mut spec).unwrap();
+            let poly: Vec<i64> = (0..n).map(|i| ((i * 7919) % 257) as i64 - 128).collect();
+            let mut spec = SoaSpectrum::new(1, n / 2);
+            fft.forward_i64_many(&poly, &mut spec).unwrap();
             let mut back = vec![0.0f64; n];
-            fft.backward_f64(&mut spec, &mut back).unwrap();
-            for (a, b) in poly.iter().zip(&back) {
-                assert!((a - b).abs() < 1e-7, "{a} vs {b} at n={n}");
+            fft.backward_f64_many(&mut spec, &mut back).unwrap();
+            for (&a, b) in poly.iter().zip(&back) {
+                assert!((a as f64 - b).abs() < 1e-7, "{a} vs {b} at n={n}");
             }
         }
     }
@@ -656,8 +486,7 @@ mod tests {
         let n = 16;
         let fft = NegacyclicFft::new(n).unwrap();
         let poly: Vec<i64> = (0..n as i64).map(|i| i * i - 5).collect();
-        let mut spec = vec![Complex64::ZERO; n / 2];
-        fft.forward_i64(&poly, &mut spec).unwrap();
+        let spec = forward(&fft, &poly);
         let perm = fft.spectrum_permutation();
         for (k, &slot) in perm.iter().enumerate() {
             let m = (1isize - 4 * k as isize).rem_euclid(2 * n as isize) as usize;
@@ -692,8 +521,7 @@ mod tests {
                 } else {
                     poly[reduced - n] = -1;
                 }
-                let mut spec = vec![Complex64::ZERO; n / 2];
-                fft.forward_i64(&poly, &mut spec).unwrap();
+                let spec = forward(&fft, &poly);
                 let mut re = vec![0.0f64; n / 2];
                 let mut im = vec![0.0f64; n / 2];
                 table.spectrum_into(degree, &mut re, &mut im).unwrap();
@@ -753,32 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_multiplication_is_bit_identical_to_allocating_path() {
-        let n = 64;
-        let fft = NegacyclicFft::new(n).unwrap();
-        let mut scratch = FftScratch::for_plan(&fft);
-        let a: Vec<i64> = (0..n).map(|i| ((i * 29 + 11) % 53) as i64 - 26).collect();
-        let b: Vec<i64> = (0..n).map(|i| ((i * 13 + 5) % 47) as i64 - 23).collect();
-        let mut alloc = vec![0i64; n];
-        fft.negacyclic_mul_i64(&a, &b, &mut alloc).unwrap();
-        // Reuse the same scratch twice: stale contents must not leak.
-        for _ in 0..2 {
-            let mut reused = vec![0i64; n];
-            fft.negacyclic_mul_i64_scratch(&a, &b, &mut reused, &mut scratch).unwrap();
-            assert_eq!(reused, alloc);
-        }
-    }
-
-    #[test]
-    fn scratch_for_wrong_plan_is_rejected() {
-        let fft = NegacyclicFft::new(8).unwrap();
-        let mut scratch = FftScratch::for_plan(&NegacyclicFft::new(16).unwrap());
-        let a = [0i64; 8];
-        let mut out = [0i64; 8];
-        assert!(fft.negacyclic_mul_i64_scratch(&a, &a, &mut out, &mut scratch).is_err());
-    }
-
-    #[test]
     fn smallest_polynomial_size_multiplies_exactly() {
         // N = 2 runs on a single-point complex FFT: the fused fold and
         // untwist paths must still be exact.
@@ -793,30 +595,29 @@ mod tests {
 
     #[test]
     fn pointwise_mul_add_accumulates() {
-        let a = [Complex64::new(1.0, 2.0), Complex64::new(0.0, 1.0)];
-        let b = [Complex64::new(3.0, 0.0), Complex64::new(0.0, 1.0)];
-        let mut acc = [Complex64::new(1.0, 1.0), Complex64::ZERO];
-        pointwise_mul_add(&mut acc, &a, &b);
-        assert_eq!(acc[0], Complex64::new(4.0, 7.0));
-        assert_eq!(acc[1], Complex64::new(-1.0, 0.0));
+        // (1+2i)·3 + (1+i) = 4+7i and i·i + 0 = −1, on split planes.
+        let (a_re, a_im) = ([1.0, 0.0], [2.0, 1.0]);
+        let (b_re, b_im) = ([3.0, 0.0], [0.0, 1.0]);
+        let (mut acc_re, mut acc_im) = ([1.0, 0.0], [1.0, 0.0]);
+        pointwise_mul_add_soa(&mut acc_re, &mut acc_im, &a_re, &a_im, &b_re, &b_im);
+        assert_eq!((acc_re, acc_im), ([4.0, -1.0], [7.0, 0.0]));
     }
 
     #[test]
     #[should_panic(expected = "pointwise length mismatch")]
     fn pointwise_mul_add_panics_on_mismatch() {
-        let a = [Complex64::ZERO; 2];
-        let b = [Complex64::ZERO; 3];
-        let mut acc = [Complex64::ZERO; 2];
-        pointwise_mul_add(&mut acc, &a, &b);
+        let (a, b) = ([0.0; 2], [0.0; 3]);
+        let (mut acc_re, mut acc_im) = ([0.0; 2], [0.0; 2]);
+        pointwise_mul_add_soa(&mut acc_re, &mut acc_im, &a, &a, &b, &b);
     }
 
     #[test]
     fn buffer_mismatch_is_reported() {
         let fft = NegacyclicFft::new(8).unwrap();
-        let poly = vec![0.0f64; 8];
-        let mut wrong = vec![Complex64::ZERO; 8]; // should be 4
+        let poly = vec![0i64; 8];
+        let mut wrong = SoaSpectrum::new(1, 8); // should be 4
         assert_eq!(
-            fft.forward_f64(&poly, &mut wrong).unwrap_err(),
+            fft.forward_i64_many(&poly, &mut wrong).unwrap_err(),
             FftError::LengthMismatch { expected: 4, actual: 8 }
         );
     }

@@ -1,182 +1,10 @@
-//! Iterative radix-2 decimation-in-time FFT with precomputed tables and
-//! **natural-order** spectra — the correctness oracle for the
-//! bit-reversed-spectrum production kernel ([`crate::SpectralPlan`]).
-//!
-//! This was the seed hot kernel; the production transforms now run on
-//! `SpectralPlan`, which deletes this plan's per-transform bit-reversal
-//! permutation pass and per-butterfly direction branch. It is kept
-//! (unchanged, on purpose) because its natural bin ordering makes it
-//! the easy-to-trust reference: kernel tests compare
-//! `SpectralPlan::forward` against [`FftPlan::forward`] through
-//! `SpectralPlan::permutation`, and callers that genuinely need
-//! natural-order spectra (spectral diagnostics, plotting) should use
-//! this type.
-
-use crate::complex::Complex64;
-use crate::error::FftError;
-use crate::is_pow2_at_least;
-
-/// Precomputed plan for forward/inverse complex FFTs of a fixed size.
-///
-/// A plan is immutable after construction and can be shared freely across
-/// threads. Construction costs `O(n log n)`; each transform costs
-/// `O(n log n)` with no allocation.
-///
-/// # Example
-///
-/// ```
-/// use strix_fft::{Complex64, FftPlan};
-///
-/// # fn main() -> Result<(), strix_fft::FftError> {
-/// let plan = FftPlan::new(4)?;
-/// let mut data = [
-///     Complex64::new(1.0, 0.0),
-///     Complex64::new(0.0, 0.0),
-///     Complex64::new(0.0, 0.0),
-///     Complex64::new(0.0, 0.0),
-/// ];
-/// plan.forward(&mut data)?;
-/// // The spectrum of a unit impulse is flat.
-/// for bin in &data {
-///     assert!((bin.re - 1.0).abs() < 1e-12 && bin.im.abs() < 1e-12);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct FftPlan {
-    size: usize,
-    log2_size: u32,
-    /// Twiddles `e^{-2πik/n}` for `k` in `[0, n/2)` (forward direction).
-    twiddles: Vec<Complex64>,
-    /// Bit-reversal permutation of `[0, n)`.
-    bit_rev: Vec<u32>,
-}
-
-impl FftPlan {
-    /// Smallest supported transform size.
-    pub const MIN_SIZE: usize = 1;
-
-    /// Creates a plan for transforms of `size` points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::InvalidSize`] if `size` is not a power of two.
-    pub fn new(size: usize) -> Result<Self, FftError> {
-        if !is_pow2_at_least(size, Self::MIN_SIZE) {
-            return Err(FftError::InvalidSize { requested: size, min: Self::MIN_SIZE });
-        }
-        let log2_size = size.trailing_zeros();
-        let mut twiddles = Vec::with_capacity(size / 2);
-        for k in 0..size / 2 {
-            let theta = -2.0 * std::f64::consts::PI * k as f64 / size as f64;
-            twiddles.push(Complex64::cis(theta));
-        }
-        let mut bit_rev = vec![0u32; size];
-        for (i, slot) in bit_rev.iter_mut().enumerate() {
-            *slot = (i as u32).reverse_bits() >> (32 - log2_size.max(1));
-        }
-        if size == 1 {
-            bit_rev[0] = 0;
-        }
-        Ok(Self { size, log2_size, twiddles, bit_rev })
-    }
-
-    /// The transform size this plan was built for.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// `log2` of the transform size — the number of butterfly stages in the
-    /// equivalent pipelined hardware unit.
-    #[inline]
-    pub fn stages(&self) -> u32 {
-        self.log2_size
-    }
-
-    /// In-place forward FFT: `X_k = Σ_j x_j e^{-2πijk/n}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `data.len() != self.size()`.
-    pub fn forward(&self, data: &mut [Complex64]) -> Result<(), FftError> {
-        self.check_len(data.len())?;
-        self.permute(data);
-        self.butterflies(data, false);
-        Ok(())
-    }
-
-    /// In-place unnormalised inverse FFT: `x_j = Σ_k X_k e^{+2πijk/n}`.
-    ///
-    /// Dividing by `n` is left to the caller so that scaling can be fused
-    /// with other constants (as the accelerator does in its accumulator
-    /// stage).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `data.len() != self.size()`.
-    pub fn inverse_unnormalized(&self, data: &mut [Complex64]) -> Result<(), FftError> {
-        self.check_len(data.len())?;
-        self.permute(data);
-        self.butterflies(data, true);
-        Ok(())
-    }
-
-    /// In-place normalised inverse FFT (divides by `n`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `data.len() != self.size()`.
-    pub fn inverse(&self, data: &mut [Complex64]) -> Result<(), FftError> {
-        self.inverse_unnormalized(data)?;
-        let scale = 1.0 / self.size as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(scale);
-        }
-        Ok(())
-    }
-
-    fn check_len(&self, len: usize) -> Result<(), FftError> {
-        if len != self.size {
-            return Err(FftError::LengthMismatch { expected: self.size, actual: len });
-        }
-        Ok(())
-    }
-
-    fn permute(&self, data: &mut [Complex64]) {
-        for i in 0..self.size {
-            let j = self.bit_rev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
-        }
-    }
-
-    fn butterflies(&self, data: &mut [Complex64], inverse: bool) {
-        let n = self.size;
-        let mut len = 2usize;
-        while len <= n {
-            let half = len / 2;
-            let stride = n / len;
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let tw = self.twiddles[k * stride];
-                    let tw = if inverse { tw.conj() } else { tw };
-                    let a = data[start + k];
-                    let b = data[start + k + half] * tw;
-                    data[start + k] = a + b;
-                    data[start + k + half] = a - b;
-                }
-            }
-            len <<= 1;
-        }
-    }
-}
+//! Tests of the natural-order oracle FFT, [`crate::reference::FftPlan`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::complex::Complex64;
+    use crate::error::FftError;
+    use crate::reference::FftPlan;
 
     fn naive_dft(input: &[Complex64], inverse: bool) -> Vec<Complex64> {
         let n = input.len();

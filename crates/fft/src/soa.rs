@@ -10,13 +10,12 @@
 //! butterfly and VMA inner loops become plain `f64`-array arithmetic
 //! that LLVM vectorises without any lane rearrangement.
 //!
-//! [`SoaSpectrum`] is that layout: a batch of `count` spectra of
-//! `transform_len` complex points each, stored as two contiguous
-//! `f64` planes. Values are **bit-identical** to their interleaved
-//! counterparts — only the addressing changes — so spectra may be
-//! converted between layouts freely without perturbing a single ULP,
-//! which is what lets the SoA CMUX path be bit-exact against the
-//! interleaved oracle.
+//! [`SoaSpectrum`] is that layout, and the only one the transform
+//! kernels speak: a batch of `count` spectra of `transform_len`
+//! complex points each, stored as two contiguous `f64` planes. A
+//! single spectrum is a batch of one. [`SoaSpectrum::store`] and
+//! [`SoaSpectrum::load`] convert to and from interleaved
+//! [`Complex64`] values bit-for-bit, for oracles and tests.
 
 use crate::complex::Complex64;
 

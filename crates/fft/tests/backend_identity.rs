@@ -9,13 +9,13 @@
 //! must agree with a forced-portable plan **bit for bit** on every
 //! entry point the CMUX hot path dispatches: the SoA batched
 //! transforms, the fused fold/twist and untwist/unfold passes, and
-//! both VMA kernels. Unavailable tiers are skipped, so the suite
+//! the VMA kernel. Unavailable tiers are skipped, so the suite
 //! degrades gracefully on portable-only hardware.
 
 use proptest::prelude::*;
 use strix_fft::{
-    pointwise_mul_add_key, pointwise_mul_add_soa, reference, Complex64, NegacyclicFft, SoaSpectrum,
-    SpectralPlan, StrixFftBackend,
+    pointwise_mul_add_soa, reference, Complex64, NegacyclicFft, SoaSpectrum, SpectralPlan,
+    StrixFftBackend,
 };
 
 /// The explicit tiers, filtered to what this host supports. Portable
@@ -190,15 +190,12 @@ fn every_backend_vma_kernels_match_the_scalar_reference() {
         let key_im = noise_f64(17, half);
         let (a_re, a_im): (Vec<f64>, Vec<f64>) = a.iter().map(|z| (z.re, z.im)).unzip();
 
-        // Scalar oracles: the free functions, unchanged since the SoA
+        // Scalar oracle: the free function, unchanged since the SoA
         // layer landed.
         let mut want_soa_re = noise_f64(19, half);
         let mut want_soa_im = noise_f64(23, half);
-        let mut want_aos = noise_complex(29, half);
         let soa_seed = (want_soa_re.clone(), want_soa_im.clone());
-        let aos_seed = want_aos.clone();
         pointwise_mul_add_soa(&mut want_soa_re, &mut want_soa_im, &a_re, &a_im, &key_re, &key_im);
-        pointwise_mul_add_key(&mut want_aos, &a, &key_re, &key_im);
 
         for &backend in &backends {
             let fft = NegacyclicFft::with_backend(n, backend).unwrap();
@@ -210,15 +207,6 @@ fn every_backend_vma_kernels_match_the_scalar_reference() {
                 (&want_soa_re, &want_soa_im),
                 &format!("mul_add_soa n={n} backend={backend}"),
             );
-            let mut got_aos = aos_seed.clone();
-            fft.pointwise_mul_add_key(&mut got_aos, &a, &key_re, &key_im);
-            for (j, (g, w)) in got_aos.iter().zip(&want_aos).enumerate() {
-                assert_eq!(
-                    (g.re.to_bits(), g.im.to_bits()),
-                    (w.re.to_bits(), w.im.to_bits()),
-                    "mul_add_key n={n} j={j} backend={backend}: {g} vs {w}"
-                );
-            }
         }
     }
 }

@@ -1,17 +1,14 @@
 //! Bit-exactness of the split-complex (SoA) batched transforms against
-//! the interleaved single-transform kernel.
+//! single transforms (batches of one).
 //!
-//! The whole point of the SoA layer is that it changes *layout and
-//! loop schedule only*: every butterfly computes the same IEEE
-//! expressions in the same per-transform order, so a batched transform
-//! must agree with a loop of single transforms **bit for bit**, not
-//! just within rounding tolerance. These tests pin that contract for
-//! every entry point the CMUX hot path uses.
+//! Batching changes the *loop schedule only*: every butterfly computes
+//! the same IEEE expressions in the same per-transform order, so a
+//! batched transform must agree with a loop of single transforms **bit
+//! for bit**, not just within rounding tolerance. These tests pin that
+//! contract for every entry point the CMUX hot path uses, and pin the
+//! split VMA kernel against interleaved complex arithmetic.
 
-use strix_fft::{
-    pointwise_mul_add, pointwise_mul_add_key, pointwise_mul_add_soa, Complex64, NegacyclicFft,
-    SoaSpectrum, SpectralPlan,
-};
+use strix_fft::{pointwise_mul_add_soa, Complex64, NegacyclicFft, SoaSpectrum, SpectralPlan};
 
 /// Deterministic pseudo-random f64 stream (splitmix64 → [-1, 1) keeps
 /// the values un-round, so equality failures can't hide in zeros).
@@ -45,6 +42,22 @@ fn noise_i64(seed: u64, len: usize) -> Vec<i64> {
         .collect()
 }
 
+/// `data` as a batch of one.
+fn batch_of(data: &[Complex64]) -> SoaSpectrum {
+    let mut batch = SoaSpectrum::new(1, data.len());
+    batch.store(0, data);
+    batch
+}
+
+/// Runs `op` on `data` as a batch of one and returns the result.
+fn single(data: &[Complex64], op: impl FnOnce(&mut SoaSpectrum)) -> Vec<Complex64> {
+    let mut batch = batch_of(data);
+    op(&mut batch);
+    let mut out = vec![Complex64::ZERO; data.len()];
+    batch.load(0, &mut out);
+    out
+}
+
 #[test]
 fn forward_many_is_bit_exact_vs_looped_single_transforms() {
     for log_n in 0..=11 {
@@ -60,10 +73,9 @@ fn forward_many_is_bit_exact_vs_looped_single_transforms() {
             plan.forward_many(&mut batch).unwrap();
             let mut got = vec![Complex64::ZERO; n];
             for (t, input) in inputs.iter().enumerate() {
-                let mut single = input.clone();
-                plan.forward(&mut single).unwrap();
+                let one = single(input, |b| plan.forward_many(b).unwrap());
                 batch.load(t, &mut got);
-                assert_eq!(got, single, "n={n} count={count} t={t}");
+                assert_eq!(got, one, "n={n} count={count} t={t}");
             }
         }
     }
@@ -89,15 +101,13 @@ fn inverse_many_is_bit_exact_vs_looped_single_transforms() {
 
         let mut got = vec![Complex64::ZERO; n];
         for (t, input) in inputs.iter().enumerate() {
-            let mut single = input.clone();
-            plan.inverse_unnormalized(&mut single).unwrap();
+            let one = single(input, |b| plan.inverse_many_unnormalized(b).unwrap());
             unnorm.load(t, &mut got);
-            assert_eq!(got, single, "unnormalized n={n} t={t}");
+            assert_eq!(got, one, "unnormalized n={n} t={t}");
 
-            let mut single = input.clone();
-            plan.inverse(&mut single).unwrap();
+            let one = single(input, |b| plan.inverse_many(b).unwrap());
             norm.load(t, &mut got);
-            assert_eq!(got, single, "normalized n={n} t={t}");
+            assert_eq!(got, one, "normalized n={n} t={t}");
         }
     }
 }
@@ -114,10 +124,12 @@ fn negacyclic_forward_many_is_bit_exact_vs_looped_forward_i64() {
             let mut batch = SoaSpectrum::new(count, half);
             fft.forward_i64_many(&polys, &mut batch).unwrap();
 
+            let mut one = SoaSpectrum::new(1, half);
             let mut single = vec![Complex64::ZERO; half];
             let mut got = vec![Complex64::ZERO; half];
             for (t, poly) in polys.chunks_exact(n).enumerate() {
-                fft.forward_i64(poly, &mut single).unwrap();
+                fft.forward_i64_many(poly, &mut one).unwrap();
+                one.load(0, &mut single);
                 batch.load(t, &mut got);
                 assert_eq!(got, single, "n={n} count={count} t={t}");
             }
@@ -143,8 +155,7 @@ fn negacyclic_backward_many_is_bit_exact_vs_looped_backward_f64() {
 
         let mut single = vec![0.0f64; n];
         for (t, spec) in specs.iter().enumerate() {
-            let mut s = spec.clone();
-            fft.backward_f64(&mut s, &mut single).unwrap();
+            fft.backward_f64_many(&mut batch_of(spec), &mut single).unwrap();
             assert_eq!(&out[t * n..(t + 1) * n], single.as_slice(), "n={n} t={t}");
         }
     }
@@ -172,18 +183,15 @@ fn split_vma_kernels_are_bit_exact_vs_interleaved() {
     let b = noise_complex(2, n);
     let acc0 = noise_complex(3, n);
 
-    // Interleaved oracle.
+    // Interleaved oracle: `Complex64` arithmetic.
     let mut acc = acc0.clone();
-    pointwise_mul_add(&mut acc, &a, &b);
-
-    // Mixed layout: interleaved accumulator/digits, split key.
-    let b_re: Vec<f64> = b.iter().map(|z| z.re).collect();
-    let b_im: Vec<f64> = b.iter().map(|z| z.im).collect();
-    let mut acc_key = acc0.clone();
-    pointwise_mul_add_key(&mut acc_key, &a, &b_re, &b_im);
-    assert_eq!(acc_key, acc);
+    for ((s, x), y) in acc.iter_mut().zip(&a).zip(&b) {
+        *s += *x * *y;
+    }
 
     // Fully split four-array kernel.
+    let b_re: Vec<f64> = b.iter().map(|z| z.re).collect();
+    let b_im: Vec<f64> = b.iter().map(|z| z.im).collect();
     let a_re: Vec<f64> = a.iter().map(|z| z.re).collect();
     let a_im: Vec<f64> = a.iter().map(|z| z.im).collect();
     let mut acc_re: Vec<f64> = acc0.iter().map(|z| z.re).collect();

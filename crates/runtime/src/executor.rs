@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use strix_tfhe::boolean::gate_sign_lut;
-use strix_tfhe::bootstrap::{Lut, MultiBitBootstrapKey, PbsJob};
+use strix_tfhe::bootstrap::{BootstrapKey, Lut, PbsJob};
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::profiler::{PbsStage, StageTimings};
 use strix_tfhe::{PbsKernel, ServerKey, TfheError};
@@ -181,8 +181,8 @@ pub trait BatchExecutor: Send + Sync + 'static {
 
 /// The TFHE back-end: batched PBS with amortised bootstrapping-key
 /// access — optionally split across an intra-epoch thread pool
-/// ([`strix_tfhe::bootstrap::BootstrapKey::bootstrap_batch_parallel`])
-/// — plus batched keyswitching where the operation asks for it. Both
+/// ([`strix_tfhe::bootstrap::BootstrapKey::bootstrap_batch`]) — plus
+/// batched keyswitching where the operation asks for it. Both
 /// tails of Algorithm 2 run batched: the post-PBS keyswitches are
 /// sharded across the same thread budget as the blind rotation
 /// ([`strix_tfhe::keyswitch::KeySwitchKey::keyswitch_batch_parallel`]),
@@ -253,22 +253,13 @@ impl TfheExecutor {
         self.policy
     }
 
-    /// The grouped bootstrapping key `class` routes through, when the
-    /// policy selects the multi-bit kernel **and** the server key
-    /// carries the material; `None` means the classical kernel.
-    fn multi_bit_for(&self, class: RequestClass) -> Option<&MultiBitBootstrapKey> {
-        multi_bit_on_key(&self.server, &self.policy, class)
-    }
-
     /// The kernel `class` actually executes with, after resolving the
-    /// policy's intent against the server key's material: the grouped
-    /// key's own grouping factor when multi-bit is selected and
-    /// present, the classical kernel otherwise.
+    /// policy's intent against the server key's material
+    /// ([`ServerKey::bootstrap_key_for`]): the grouped key's own
+    /// grouping factor when multi-bit is selected and present, the
+    /// classical kernel otherwise.
     pub fn effective_kernel(&self, class: RequestClass) -> PbsKernel {
-        match self.multi_bit_for(class) {
-            Some(mb) => PbsKernel::MultiBit { grouping_factor: mb.grouping_factor() },
-            None => PbsKernel::Classical,
-        }
+        self.server.bootstrap_key_for(self.policy.kernel_for(class)).kernel()
     }
 }
 
@@ -283,18 +274,12 @@ fn plan_threads(threads: usize, batch_len: usize) -> usize {
     threads.min(max_useful).max(1)
 }
 
-/// The grouped bootstrapping key `class` routes through on `server`,
-/// when the policy selects the multi-bit kernel **and** the key
-/// carries the material; `None` means the classical kernel.
-fn multi_bit_on_key<'a>(
-    server: &'a ServerKey,
-    policy: &KernelPolicy,
-    class: RequestClass,
-) -> Option<&'a MultiBitBootstrapKey> {
-    match policy.kernel_for(class) {
-        PbsKernel::MultiBit { .. } => server.multi_bit_bootstrap_key(),
-        PbsKernel::Classical => None,
-    }
+/// The PBS jobs of one epoch that run on one bootstrapping key, with
+/// the request slot each job answers.
+struct KernelGroup<'a> {
+    key: &'a BootstrapKey,
+    slots: Vec<usize>,
+    jobs: Vec<PbsJob<'a>>,
 }
 
 /// Runs one epoch of requests against a specific server key — the
@@ -310,11 +295,10 @@ fn execute_epoch_on_key(
     batch: &[Request],
     profiled: bool,
 ) -> EpochExecution {
-    // Collect every PBS-bearing request into one key-major batch;
-    // keyswitch-only requests run directly. Shape validation
+    // Collect every PBS-bearing request into one key-major batch per
+    // kernel; keyswitch-only requests run directly. Shape validation
     // happens here, per job, so one malformed request fails alone
     // instead of poisoning (or serialising) the shared batch call.
-    let bsk = server.bootstrap_key();
     let mut timings = StageTimings::new();
     let mut pbs_span = None;
     let mut ks_span = None;
@@ -352,15 +336,17 @@ fn execute_epoch_on_key(
     }
 
     let ksk = server.keyswitch_key();
-    let mbsk = server.multi_bit_bootstrap_key();
-    // One job list per kernel: each request's class resolves
-    // through the policy (with classical fallback when the grouped
-    // key is absent), so one epoch may mix kernels freely while
-    // each kernel still runs as a single key-major batch.
-    let mut pbs_indices = Vec::new();
-    let mut jobs: Vec<PbsJob<'_>> = Vec::new();
-    let mut mb_indices = Vec::new();
-    let mut mb_jobs: Vec<PbsJob<'_>> = Vec::new();
+    // One job list per kernel — index 0 classical, 1 multi-bit: each
+    // request's class resolves through the policy to a key (with
+    // classical fallback when the grouped key is absent), so one epoch
+    // may mix kernels freely while each kernel still runs as a single
+    // key-major batch.
+    let mut groups: [KernelGroup<'_>; 2] =
+        [PbsKernel::Classical, server.params().pbs_kernel].map(|kernel| KernelGroup {
+            key: server.bootstrap_key_for(kernel),
+            slots: Vec::new(),
+            jobs: Vec::new(),
+        });
     // Keyswitch-only requests are collected and run as ONE batch
     // (one digit buffer per epoch) instead of one allocating
     // `keyswitch` call per request. Dimensions are validated here,
@@ -391,22 +377,14 @@ fn execute_epoch_on_key(
             }
         };
         if let Some((ct, lut)) = job {
-            if let Some(mb) = multi_bit_on_key(server, policy, req.op.class()) {
-                match mb.check_shape(ct, lut) {
-                    Ok(()) => {
-                        mb_indices.push(i);
-                        mb_jobs.push(PbsJob { ct, lut });
-                    }
-                    Err(e) => results[i] = Some(Err(e)),
+            let key = server.bootstrap_key_for(policy.kernel_for(req.op.class()));
+            match key.check_shape(ct, lut) {
+                Ok(()) => {
+                    let group = &mut groups[usize::from(key.kernel() != PbsKernel::Classical)];
+                    group.slots.push(i);
+                    group.jobs.push(PbsJob { ct, lut });
                 }
-            } else {
-                match bsk.check_shape(ct, lut) {
-                    Ok(()) => {
-                        pbs_indices.push(i);
-                        jobs.push(PbsJob { ct, lut });
-                    }
-                    Err(e) => results[i] = Some(Err(e)),
-                }
+                Err(e) => results[i] = Some(Err(e)),
             }
         }
     }
@@ -445,37 +423,34 @@ fn execute_epoch_on_key(
     // classical jobs first, then the grouped multi-bit jobs. On
     // sampled epochs both probed kernels accumulate into the same
     // per-stage timings (the stages are shared vocabulary).
-    let pbs_t0 = Instant::now();
-    let classical_result = if profiled {
-        bsk.bootstrap_batch_profiled(&jobs, &mut timings)
-    } else {
-        bsk.bootstrap_batch_parallel(&jobs, plan_threads(threads, jobs.len()))
-    };
-    let multi_bit_result = match mbsk {
-        Some(mb) if !mb_jobs.is_empty() => {
-            if profiled {
-                mb.bootstrap_batch_profiled(&mb_jobs, &mut timings)
-            } else {
-                mb.bootstrap_batch_parallel(&mb_jobs, plan_threads(threads, mb_jobs.len()))
-            }
-        }
-        _ => Ok(Vec::new()),
-    };
-    let total_pbs = jobs.len() + mb_jobs.len();
-    if total_pbs > 0 {
-        pbs_span = Some((pbs_t0, Instant::now()));
-    }
+    //
     // Keyswitch the Lut/Gate/LinearLut outputs of BOTH kernels as
     // one batch (they all carry the extracted dimension the key
     // expects); Bootstrap-op outputs pass through raw.
+    let pbs_t0 = Instant::now();
+    let booted: Vec<_> = groups
+        .iter()
+        .filter(|group| !group.jobs.is_empty())
+        .map(|group| {
+            let result = if profiled {
+                group.key.bootstrap_batch_profiled(&group.jobs, &mut timings)
+            } else {
+                group.key.bootstrap_batch(&group.jobs, plan_threads(threads, group.jobs.len()))
+            };
+            (group, result)
+        })
+        .collect();
+    let kernel_jobs = groups.each_ref().map(|group| group.jobs.len());
+    let total_pbs: usize = kernel_jobs.iter().sum();
+    if total_pbs > 0 {
+        pbs_span = Some((pbs_t0, Instant::now()));
+    }
     let mut ks_slots = Vec::new();
     let mut ks_inputs = Vec::new();
-    for (indices, booted_result) in
-        [(&pbs_indices, classical_result), (&mb_indices, multi_bit_result)]
-    {
+    for (group, booted_result) in booted {
         match booted_result {
             Ok(booted) => {
-                for (&i, out) in indices.iter().zip(booted) {
+                for (&i, out) in group.slots.iter().zip(booted) {
                     match &batch[i].op {
                         RequestOp::Lut(_)
                         | RequestOp::Gate { .. }
@@ -488,7 +463,7 @@ fn execute_epoch_on_key(
                 }
             }
             Err(e) => {
-                for &i in indices {
+                for &i in &group.slots {
                     results[i] = Some(Err(e.clone()));
                 }
             }
@@ -524,7 +499,6 @@ fn execute_epoch_on_key(
         }
     }
 
-    let kernel_jobs = [jobs.len(), mb_jobs.len()];
     let results = results
         .into_iter()
         // lint:allow(panic) every request is routed to exactly one of the fill paths above
@@ -1024,7 +998,8 @@ mod tests {
         let params = TfheParameters::testing_fast();
         let (mut client, server) = generate_keys(&params, 93);
         let server = Arc::new(server);
-        assert!(server.multi_bit_bootstrap_key().is_none());
+        let fallback = server.bootstrap_key_for(PbsKernel::MultiBit { grouping_factor: 2 });
+        assert_eq!(fallback.kernel(), PbsKernel::Classical);
         let p = 2u32;
         let lut = Arc::new(Lut::from_function(params.polynomial_size, p, |m| m).unwrap());
         let exec = TfheExecutor::with_policy(

@@ -17,12 +17,13 @@
 //!    [`FlushPolicy`] — flush on batch-full (fragmentation-free, the
 //!    Fig. 2 argument) or on deadline (bounded tail latency),
 //! 3. a **worker pool** ([`worker`]) executing each epoch through a
-//!    [`BatchExecutor`]; the TFHE back-end drives
-//!    `BootstrapKey::bootstrap_batch_parallel`, which shards the epoch
-//!    across `threads_per_worker` scoped threads — each shard's
-//!    key-major loop reuses one bootstrapping-key fetch exactly as an
-//!    HSC amortises its bsk stream, and every shard runs on its own
-//!    allocation-free `PbsScratch`,
+//!    [`BatchExecutor`]; the TFHE back-end resolves each request's
+//!    kernel to a key (`ServerKey::bootstrap_key_for`) and drives
+//!    `BootstrapKey::bootstrap_batch(jobs, threads)` once per kernel,
+//!    which shards the epoch across `threads_per_worker` scoped
+//!    threads — each shard's key-major loop reuses one
+//!    bootstrapping-key fetch exactly as an HSC amortises its bsk
+//!    stream, and every shard runs on its own allocation-free scratch,
 //! 4. a **metrics layer** ([`metrics`]) producing a [`RuntimeReport`]
 //!    (latency percentiles, achieved PBS/s, batch-occupancy histogram,
 //!    per-epoch thread occupancy, per-class latency attribution, a

@@ -7,7 +7,7 @@
 //! keyswitches back to the `n`-dimension key. This is the workload of
 //! the paper's Fig. 1 breakdown and the gate-level benchmarks.
 
-use crate::bootstrap::{decode_bool, encode_bool, Lut};
+use crate::bootstrap::{decode_bool, encode_bool, Lut, PbsJob};
 use crate::keys::{ClientKey, ServerKey};
 use crate::lwe::LweCiphertext;
 use crate::profiler::{PbsStage, StageTimings};
@@ -338,7 +338,11 @@ impl ServerKey {
         let t0 = std::time::Instant::now();
         let sum = self.gate_linear(BinaryGate::Nand.recipe(), a, b)?;
         timings.add(PbsStage::LinearOps, t0.elapsed());
-        let boot = self.bsk.bootstrap_profiled(&sum, &self.sign_lut(), timings)?;
+        let lut = self.sign_lut();
+        let mut boot =
+            self.bsk.bootstrap_batch_profiled(&[PbsJob { ct: &sum, lut: &lut }], timings)?;
+        // lint:allow(panic) the driver returns one output per job
+        let boot = boot.pop().expect("one job in, one output out");
         let switched = self.ksk.keyswitch_profiled(&boot, timings)?;
         Ok(BoolCiphertext { ct: switched })
     }

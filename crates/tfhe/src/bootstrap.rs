@@ -20,24 +20,33 @@
 //! (one rotation/subtraction, one decomposition, `(k+1)·l_b` FFTs,
 //! `(k+1)²·l_b` pointwise multiplies, `k+1` IFFTs) is identical.
 //!
-//! # Hot-path execution model
+//! # One driver, two kernels
 //!
-//! The CMUX loop runs entirely on per-thread [`PbsScratch`] buffers —
-//! no heap allocation between the initial accumulator setup and sample
+//! [`BootstrapKey`] holds the material of either PBS kernel — the
+//! classical one-CMUX-per-bit key or the multi-bit grouped key — and
+//! both run through one blocked driver, the software form of the
+//! paper's HSC datapath (rotator → decomposer → FFT → VMA → IFFT →
+//! accumulator) fed by whichever key it is given. The driver checks
+//! shapes, rotates every accumulator by its body, modulus-switches
+//! every mask once into an epoch-wide table, then walks the key in
+//! key-major order, one step at a time, applying each step to the
+//! batch in blocks of [`CMUX_JOB_BLOCK`] jobs; a single `match` per
+//! `(step, block)` picks the classical or the grouped step kernel,
+//! which share the decompose → forward-FFT staging and the inverse
+//! drain. It shards epochs across threads, is observed through a
+//! timing probe for the stage breakdown, and finishes with sample
+//! extraction.
+//!
+//! The step loop runs entirely on per-thread scratch buffers — no heap
+//! allocation between the initial accumulator setup and sample
 //! extraction. All Fourier-domain data (bootstrapping-key rows, digit
 //! spectra, accumulator spectra) lives in the transform plan's
 //! bit-reversed slot order end to end — the `strix-fft` kernel never
 //! runs a permutation pass, and nothing in PBS ever needs natural bin
-//! order. Batched epochs additionally hoist the per-iteration modulus
-//! switch: every job's mask is switched once into a per-epoch table
-//! before the key-major loop starts. Epochs scale across cores with
-//! [`BootstrapKey::bootstrap_batch_parallel`]: the job list is split
-//! into contiguous shards, each shard walks the shared bootstrapping
-//! key in key-major order with its own scratch, and the results come
-//! back in job order, bit-identical to the sequential
-//! [`BootstrapKey::bootstrap_batch`].
+//! order. The per-job CMUX the classical kernel is pinned against
+//! lives in [`crate::reference`].
 
-use strix_fft::{MonomialTable, NegacyclicFft};
+use strix_fft::{MonomialTable, NegacyclicFft, SoaSpectrum};
 
 use crate::decompose::DecompositionParams;
 use crate::ggsw::{FourierGgsw, GgswCiphertext};
@@ -47,7 +56,7 @@ use crate::params::{PbsKernel, TfheParameters};
 use crate::poly::TorusPolynomial;
 use crate::profiler::{NoProbe, PbsStage, Probe, StageTimings, TimingProbe};
 use crate::rng::NoiseSampler;
-use crate::scratch::{MultiBitPbsScratch, PbsScratch, CMUX_JOB_BLOCK};
+use crate::scratch::{PbsScratch, CMUX_JOB_BLOCK};
 use crate::torus::{encode_fraction, f64_to_torus, modulus_switch};
 use crate::TfheError;
 
@@ -167,114 +176,244 @@ pub struct PbsJob<'a> {
     pub lut: &'a Lut,
 }
 
-/// The bootstrapping key: `n` Fourier-domain GGSW encryptions of the LWE
-/// secret-key bits, plus the FFT plan they were transformed under.
+/// The GGSW plaintexts of a key's entries, in generation order: one
+/// secret bit per entry under the classical kernel; under the multi-bit
+/// kernel, for each group of `g` bits (the last group takes the
+/// `n mod g` remainder), the `2^m` indicator products
+/// `m_b = ∏_t s_t^{b_t} · (1−s_t)^{1−b_t}` of the group's bit patterns
+/// `b`, pattern-major. Exactly one `m_b` per group is 1.
+///
+/// # Panics
+///
+/// Panics if a multi-bit grouping factor is 0, exceeds
+/// [`PbsKernel::MAX_GROUPING_FACTOR`] or exceeds `bits.len()`.
+pub(crate) fn entry_messages(bits: &[u64], kernel: PbsKernel) -> Vec<u64> {
+    let Some(g) = kernel.grouping_factor() else {
+        return bits.to_vec();
+    };
+    assert!(g >= 1, "grouping factor must be positive");
+    assert!(g <= PbsKernel::MAX_GROUPING_FACTOR, "grouping factor exceeds the supported maximum");
+    assert!(g <= bits.len(), "grouping factor exceeds the lwe dimension");
+    bits.chunks(g)
+        .flat_map(|group| {
+            (0..1usize << group.len()).map(move |pattern| {
+                group
+                    .iter()
+                    .enumerate()
+                    .map(|(t, &s)| if (pattern >> t) & 1 == 1 { s } else { 1 - s })
+                    .product()
+            })
+        })
+        .collect()
+}
+
+/// Checks that a `(ciphertext, LUT)` pair fits a key with input
+/// dimension `input_dimension` and polynomial size `poly_size` — the
+/// one validation every bootstrapping key applies.
+pub(crate) fn check_pbs_shape(
+    ct: &LweCiphertext,
+    lut: &Lut,
+    input_dimension: usize,
+    poly_size: usize,
+) -> Result<(), TfheError> {
+    if ct.dimension() != input_dimension {
+        return Err(TfheError::ParameterMismatch {
+            what: "lwe dimension",
+            left: ct.dimension(),
+            right: input_dimension,
+        });
+    }
+    if lut.poly_size() != poly_size {
+        return Err(TfheError::ParameterMismatch {
+            what: "polynomial size",
+            left: lut.poly_size(),
+            right: poly_size,
+        });
+    }
+    Ok(())
+}
+
+/// The bootstrapping key: Fourier-domain GGSW encryptions of the LWE
+/// secret-key bits, plus the FFT plan they were transformed under, for
+/// one of the two PBS kernels ([`PbsKernel`]).
+///
+/// * **Classical** — `n` entries, `GGSW(s_i)`. Blind rotation runs one
+///   CMUX per bit: `acc ← acc + GGSW(s_i) ⊡ (X^{ã_i}·acc − acc)`.
+/// * **Multi-bit** (grouping factor `g`, the software counterpart of
+///   tfhe-rs's `MULTI_BIT` PBS) — `⌈n/g⌉` groups; group `i` covers
+///   secret bits `s_{ig} .. s_{ig+g-1}` and stores `2^g` entries, one
+///   per bit pattern `b ∈ {0,1}^g`, encrypting the indicator product
+///   `m_b` (see `entry_messages`); the last group covers the `n mod g`
+///   remainder bits with `2^{n mod g}` entries. Since
+///   `X^{Σ_t ã_t s_t} = Σ_b X^{⟨b, ã⟩} · m_b`, the driver assembles the
+///   *combined* GGSW `G = Σ_b X^{d_b} · GGSW(m_b)` (monomial weighting
+///   is a pointwise spectrum multiply, [`MonomialTable`]) and replaces
+///   the accumulator with `G ⊡ acc` — one external product per group
+///   instead of one per bit, trading a `2^g/g ×` larger key (and a
+///   `2^g ×` key-noise term, see
+///   [`crate::noise::multi_bit_external_product_variance`]) for `g ×`
+///   fewer transforms. Outputs are **not bit-identical** to the
+///   classical kernel's but decrypt to the same message: both realise
+///   the blind rotation `X^{b̃ + Σ ã_j s_j} · lut`.
+///
+/// Both kernels run through one blocked driver (see the module docs);
+/// only the per-step CMUX differs.
 #[derive(Clone, Debug)]
 pub struct BootstrapKey {
-    ggsws: Vec<FourierGgsw>,
+    /// Every GGSW entry in generation order: one per secret bit
+    /// (classical), or group-major then pattern (multi-bit).
+    entries: Vec<FourierGgsw>,
+    steps: Steps,
     fft: NegacyclicFft,
     glwe_dimension: usize,
     poly_size: usize,
     decomp: DecompositionParams,
+    input_dimension: usize,
+}
+
+/// What one blind-rotation step consumes — the kernel-specific part of
+/// a key.
+#[derive(Clone, Debug)]
+enum Steps {
+    /// One entry per step, one CMUX per secret bit.
+    Classical,
+    /// One group of `2^m` pattern entries per step, combined through
+    /// monomial spectra.
+    MultiBit { grouping_factor: usize, mono: MonomialTable },
 }
 
 impl BootstrapKey {
-    /// Generates a bootstrapping key encrypting `lwe_sk` under `glwe_sk`.
+    /// Generates a bootstrapping key for `kernel` encrypting `lwe_sk`
+    /// under `glwe_sk`. Every multi-bit pattern entry is a *real* GGSW
+    /// encryption (including the encryptions of zero): which single
+    /// pattern holds the 1 is exactly the key material.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a multi-bit grouping factor is 0, exceeds
+    /// [`PbsKernel::MAX_GROUPING_FACTOR`] or exceeds the LWE dimension
+    /// (all rejected earlier by [`TfheParameters::validate`]).
     pub fn generate(
         lwe_sk: &LweSecretKey,
         glwe_sk: &GlweSecretKey,
         params: &TfheParameters,
+        kernel: PbsKernel,
         rng: &mut NoiseSampler,
     ) -> Self {
         let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
-        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
-            // lint:allow(panic) parameters were validated at construction
-            .expect("validated parameters have power-of-two N and an available backend");
-        let ggsws = lwe_sk
-            .bits()
-            .iter()
-            .map(|&s| {
-                GgswCiphertext::encrypt_scalar(s, glwe_sk, decomp, params.glwe_noise_std, rng)
+        let fft = plan(params);
+        let entries = entry_messages(lwe_sk.bits(), kernel)
+            .into_iter()
+            .map(|m| {
+                GgswCiphertext::encrypt_scalar(m, glwe_sk, decomp, params.glwe_noise_std, rng)
                     .to_fourier(&fft)
             })
             .collect();
-        Self {
-            ggsws,
-            fft,
-            glwe_dimension: params.glwe_dimension,
-            poly_size: params.polynomial_size,
-            decomp,
-        }
+        Self::assemble(entries, fft, params, kernel)
     }
 
-    /// Generates a *timing-equivalent* bootstrapping key without real
-    /// encryption: every GGSW row is a trivial (zero-mask) encryption
-    /// carrying only the gadget term for secret bit 0.
+    /// Generates a *timing-equivalent* bootstrapping key for `kernel`
+    /// without real encryption: every entry is a trivial (zero-mask)
+    /// GGSW of 1, carrying only the gadget terms.
     ///
     /// Running PBS with this key performs exactly the same arithmetic
     /// (same decompositions, FFTs, multiplies) as with a real key, so
     /// it is suitable for the CPU-baseline *performance* measurements
     /// at large parameter sets, where real key generation via the exact
     /// schoolbook path would be prohibitive. It is cryptographically
-    /// meaningless — outputs decrypt to the unrotated test vector.
-    pub fn generate_for_benchmark(params: &TfheParameters) -> Self {
+    /// meaningless.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range grouping factor (see
+    /// [`Self::generate`]).
+    pub fn generate_for_benchmark(params: &TfheParameters, kernel: PbsKernel) -> Self {
         let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
-        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
-            // lint:allow(panic) parameters were validated at construction
-            .expect("validated parameters have power-of-two N and an available backend");
+        let fft = plan(params);
         // GGSW of message 1: gadget terms give the spectra non-trivial
         // values so the FFT timing is honest.
         let template =
             GgswCiphertext::trivial(1, params.glwe_dimension, params.polynomial_size, decomp)
                 .to_fourier(&fft);
-        let ggsws = vec![template; params.lwe_dimension];
-        Self {
-            ggsws,
-            fft,
-            glwe_dimension: params.glwe_dimension,
-            poly_size: params.polynomial_size,
-            decomp,
-        }
+        let count = entry_messages(&vec![0; params.lwe_dimension], kernel).len();
+        Self::assemble(vec![template; count], fft, params, kernel)
     }
 
-    /// Expansion half of seeded key transport: rebuilds each GGSW from
-    /// its stored body polynomials and the CRS mask stream (drawn in
-    /// generation order), then runs the usual Fourier materialisation.
+    /// Expansion half of seeded key transport: rebuilds each GGSW entry
+    /// (in generation order) from its stored body polynomials and the
+    /// CRS mask stream, then runs the usual Fourier materialisation.
     ///
     /// # Panics
     ///
-    /// Panics if `bodies` does not hold one entry per secret bit with
-    /// `(k+1)·l` rows each (transport payload invariant).
+    /// Panics if `bodies` does not hold one entry per key entry of
+    /// `kernel` with `(k+1)·l` rows each (transport payload invariant).
     pub(crate) fn from_seeded_parts(
         bodies: &[Vec<TorusPolynomial>],
         params: &TfheParameters,
+        kernel: PbsKernel,
         crs: &mut NoiseSampler,
     ) -> Self {
-        assert_eq!(bodies.len(), params.lwe_dimension, "seeded bsk entry count");
         let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
-        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
-            // lint:allow(panic) parameters were validated at construction
-            .expect("validated parameters have power-of-two N and an available backend");
-        let ggsws = bodies
+        let fft = plan(params);
+        let entries: Vec<FourierGgsw> = bodies
             .iter()
             .map(|entry| {
                 GgswCiphertext::from_seeded_parts(entry, decomp, params.glwe_dimension, crs)
                     .to_fourier(&fft)
             })
             .collect();
+        Self::assemble(entries, fft, params, kernel)
+    }
+
+    /// Wraps materialised entries (in generation order) into a key for
+    /// `kernel`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry count does not match `kernel` at the
+    /// parameters' LWE dimension.
+    fn assemble(
+        entries: Vec<FourierGgsw>,
+        fft: NegacyclicFft,
+        params: &TfheParameters,
+        kernel: PbsKernel,
+    ) -> Self {
+        let n = params.lwe_dimension;
+        assert_eq!(
+            entries.len(),
+            entry_messages(&vec![0; n], kernel).len(),
+            "key entry count does not match the kernel"
+        );
+        let steps = match kernel {
+            PbsKernel::Classical => Steps::Classical,
+            PbsKernel::MultiBit { grouping_factor } => {
+                Steps::MultiBit { grouping_factor, mono: MonomialTable::for_plan(&fft) }
+            }
+        };
         Self {
-            ggsws,
+            entries,
+            steps,
             fft,
             glwe_dimension: params.glwe_dimension,
             poly_size: params.polynomial_size,
-            decomp,
+            decomp: DecompositionParams::new(params.pbs_base_log, params.pbs_level),
+            input_dimension: n,
         }
     }
 
-    /// Input LWE dimension `n` (number of blind-rotation iterations).
+    /// The PBS kernel this key runs.
+    #[inline]
+    pub fn kernel(&self) -> PbsKernel {
+        match self.steps {
+            Steps::Classical => PbsKernel::Classical,
+            Steps::MultiBit { grouping_factor, .. } => PbsKernel::MultiBit { grouping_factor },
+        }
+    }
+
+    /// Input LWE dimension `n`.
     #[inline]
     pub fn input_dimension(&self) -> usize {
-        self.ggsws.len()
+        self.input_dimension
     }
 
     /// Output LWE dimension `k·N` after sample extraction.
@@ -301,222 +440,198 @@ impl BootstrapKey {
         &self.fft
     }
 
-    /// Allocates a [`PbsScratch`] sized to this key — one per thread,
-    /// reused across every bootstrap that thread performs.
-    pub fn scratch(&self) -> PbsScratch {
-        PbsScratch::new(self.glwe_dimension, self.poly_size, self.decomp)
+    /// The Fourier-domain GGSW entries in generation order: one per
+    /// secret bit (classical), or group-major then bit pattern
+    /// (multi-bit).
+    pub fn entries(&self) -> impl Iterator<Item = &FourierGgsw> {
+        self.entries.iter()
     }
 
-    /// Total Fourier-domain key size in bytes (HBM traffic per full PBS).
+    /// Total Fourier-domain key size in bytes (HBM traffic per full
+    /// PBS) — for the multi-bit kernel `2^g/g ×` the classical key.
     pub fn byte_size(&self) -> usize {
-        self.ggsws.iter().map(FourierGgsw::byte_size).sum()
-    }
-
-    /// Blind rotation (Algorithm 1 lines 2–12): rotates `lut` by the
-    /// encrypted phase of `ct`, returning the GLWE accumulator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] if the ciphertext
-    /// dimension or LUT size disagrees with the key.
-    pub fn blind_rotate(&self, ct: &LweCiphertext, lut: &Lut) -> Result<GlweCiphertext, TfheError> {
-        let mut scratch = self.scratch();
-        self.blind_rotate_with(ct, lut, &mut scratch)
-    }
-
-    /// As [`Self::blind_rotate`] with caller-provided scratch: after
-    /// the initial accumulator setup, the CMUX loop performs no heap
-    /// allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was sized for a different parameter set.
-    pub fn blind_rotate_with(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-        scratch: &mut PbsScratch,
-    ) -> Result<GlweCiphertext, TfheError> {
-        self.blind_rotate_core(ct, lut, scratch, &mut NoProbe)
-    }
-
-    /// The single implementation behind the per-job blind-rotation
-    /// entry points, generic over a [`Probe`]: the production path
-    /// passes [`NoProbe`] (inlines to nothing), the profiled path a
-    /// [`TimingProbe`] — one rotation loop, so instrumented and
-    /// production execution can never drift.
-    // lint:hot-path-start — the classical per-job CMUX loop must stay allocation-free
-    fn blind_rotate_core<P: Probe>(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-        scratch: &mut PbsScratch,
-        probe: &mut P,
-    ) -> Result<GlweCiphertext, TfheError> {
-        self.check_shape(ct, lut)?;
-        scratch.check_shape(self.glwe_dimension, self.poly_size, self.decomp.level);
-        let log2_two_n = self.poly_size.trailing_zeros() + 1;
-        let b_tilde =
-            probe.time(PbsStage::ModSwitch, || modulus_switch(ct.body(), log2_two_n)) as usize;
-        let mut acc = GlweCiphertext::trivial(self.glwe_dimension, lut.poly().rotate_left(b_tilde));
-        for (ggsw, &a) in self.ggsws.iter().zip(ct.mask()) {
-            let a_tilde =
-                probe.time(PbsStage::ModSwitch, || modulus_switch(a, log2_two_n)) as usize;
-            if a_tilde == 0 {
-                continue;
-            }
-            // CMUX: acc ← acc + ggsw ⊡ (X^ã·acc − acc), allocation-free.
-            let PbsScratch { diff, prod, ep, .. } = scratch;
-            probe.time(PbsStage::Rotate, || {
-                acc.rotate_right_into(a_tilde, diff);
-                // lint:allow(panic) shape invariant established at construction
-                diff.sub_assign(&acc).expect("scratch shape is pre-validated");
-            });
-            ggsw.external_product_probed(diff, &self.fft, prod, ep, probe);
-            // lint:allow(panic) shape invariant established at construction
-            acc.add_assign(prod).expect("scratch shape is pre-validated");
-        }
-        Ok(acc)
-    }
-    // lint:hot-path-end
-
-    /// Blind rotation with stage timing instrumentation — the same
-    /// rotation loop as [`Self::blind_rotate_with`], observed through
-    /// a timing probe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    pub fn blind_rotate_profiled(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-        timings: &mut StageTimings,
-    ) -> Result<GlweCiphertext, TfheError> {
-        let mut scratch = self.scratch();
-        self.blind_rotate_core(ct, lut, &mut scratch, &mut TimingProbe(timings))
+        self.entries.iter().map(FourierGgsw::byte_size).sum()
     }
 
     /// Checks that a `(ciphertext, LUT)` pair matches this key's shape
-    /// — the single validation both the single and batched bootstrap
-    /// paths apply, exposed so schedulers can pre-validate jobs before
-    /// committing them to a shared batch.
+    /// — the validation every bootstrap applies, exposed so schedulers
+    /// can pre-validate jobs before committing them to a shared batch.
     ///
     /// # Errors
     ///
     /// Returns [`TfheError::ParameterMismatch`] naming the mismatch.
     pub fn check_shape(&self, ct: &LweCiphertext, lut: &Lut) -> Result<(), TfheError> {
-        if ct.dimension() != self.input_dimension() {
-            return Err(TfheError::ParameterMismatch {
-                what: "lwe dimension",
-                left: ct.dimension(),
-                right: self.input_dimension(),
-            });
-        }
-        if lut.poly_size() != self.poly_size {
-            return Err(TfheError::ParameterMismatch {
-                what: "polynomial size",
-                left: lut.poly_size(),
-                right: self.poly_size,
-            });
-        }
-        Ok(())
+        check_pbs_shape(ct, lut, self.input_dimension, self.poly_size)
     }
 
-    /// Blind-rotates a whole batch with **key-major iteration order**,
-    /// the software analogue of the paper's core-level batching
-    /// (§IV-C): the outer loop walks the `n` bootstrapping-key entries
-    /// and the inner loop applies each GGSW to every accumulator in
-    /// the batch, so one key fetch is reused `batch` times — exactly
-    /// how an HSC amortises its per-iteration bsk stream. Jobs may
-    /// carry different LUTs; only the key material is shared.
+    /// Full programmable bootstrap of one ciphertext: blind rotation
+    /// followed by sample extraction — the batched driver on a batch of
+    /// one. The output is an LWE ciphertext of dimension `k·N`
+    /// encrypting `lut[phase]` with *fresh* noise, still under the
+    /// extracted key — keyswitching back to the original key is a
+    /// separate step (Algorithm 2, [`crate::keyswitch`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
+    pub fn bootstrap(&self, ct: &LweCiphertext, lut: &Lut) -> Result<LweCiphertext, TfheError> {
+        let mut out = self.bootstrap_batch(&[PbsJob { ct, lut }], 1)?;
+        // lint:allow(panic) the driver returns one output per job
+        Ok(out.pop().expect("one job in, one output out"))
+    }
+
+    /// Batched programmable bootstrap with **key-major iteration
+    /// order**, the software analogue of the paper's core-level
+    /// batching (§IV-C): the outer loop walks the key's steps and the
+    /// inner loop applies each step to every job, block by block, so
+    /// one key fetch is reused by the whole batch. Jobs may carry
+    /// different LUTs; only the key material is shared.
+    ///
+    /// `threads > 1` splits the jobs into contiguous, balanced shards,
+    /// one per [`std::thread::scope`] worker with its own scratch, all
+    /// sharing this key — core-level batching within each shard,
+    /// device-level parallelism across shards. Each job's arithmetic
+    /// depends only on its own ciphertext, so outputs come back in job
+    /// order and **bit-identical** for every thread count. `threads` is
+    /// clamped to `[1, jobs.len()]`.
     ///
     /// # Errors
     ///
     /// Returns [`TfheError::ParameterMismatch`] if any job's ciphertext
-    /// dimension or LUT size disagrees with the key.
-    pub fn blind_rotate_batch(
+    /// dimension or LUT size disagrees with the key (validated up
+    /// front, before any thread is spawned).
+    pub fn bootstrap_batch(
         &self,
         jobs: &[PbsJob<'_>],
-    ) -> Result<Vec<GlweCiphertext>, TfheError> {
-        let mut scratch = self.scratch();
-        self.blind_rotate_batch_with(jobs, &mut scratch)
+        threads: usize,
+    ) -> Result<Vec<LweCiphertext>, TfheError> {
+        for job in jobs {
+            self.check_shape(job.ct, job.lut)?;
+        }
+        let threads = threads.min(jobs.len()).max(1);
+        if threads == 1 {
+            return Ok(self.run(jobs, &mut self.scratch(), &mut NoProbe));
+        }
+        // Balanced contiguous shards: the first `jobs % threads` shards
+        // take one extra job, so exactly `threads` workers spawn and no
+        // worker trails the rest by more than one PBS. Contiguity
+        // preserves key-major order within each shard and job order
+        // across the concatenated results.
+        let (base, extra) = (jobs.len() / threads, jobs.len() % threads);
+        let shards: Vec<Vec<LweCiphertext>> = std::thread::scope(|scope| {
+            let mut start = 0;
+            let handles: Vec<_> = (0..threads)
+                .map(|i| {
+                    let shard = &jobs[start..start + base + usize::from(i < extra)];
+                    start += shard.len();
+                    scope.spawn(move || self.run(shard, &mut self.scratch(), &mut NoProbe))
+                })
+                .collect();
+            // lint:allow(panic) a worker panic is propagated, not swallowed
+            handles.into_iter().map(|h| h.join().expect("PBS shard worker panicked")).collect()
+        });
+        Ok(shards.into_iter().flatten().collect())
     }
 
-    /// As [`Self::blind_rotate_batch`] with caller-provided scratch —
-    /// one scratch serves the whole epoch, so the key-major loop
-    /// performs no heap allocation beyond the output accumulators and
-    /// one per-epoch switched-mask table: every job's mask is
-    /// modulus-switched **once, up front**, rather than per key entry
-    /// inside the hot loop (epoch-wide hoisting of Algorithm 1 line 5).
-    ///
-    /// This is the **coefficient-batched, job-blocked** CMUX path (the
-    /// paper's two batching levels realised together): per key entry,
-    /// accumulators are processed in blocks of
-    /// [`CMUX_JOB_BLOCK`] jobs whose
-    /// digit polynomials go through one batched split-complex forward
-    /// transform each ([`NegacyclicFft::forward_i64_many`]) and whose
-    /// VMA runs **row-major across the block**, so each key row is
-    /// fetched once per block instead of once per job. Outputs are
-    /// bit-identical to the per-job oracle path
-    /// ([`Self::blind_rotate_with`]) — the schedule changes, the
-    /// per-job arithmetic does not.
+    /// As [`Self::bootstrap_batch`] on one thread, with per-stage timing
+    /// instrumentation over the **production driver** — the same
+    /// kernels the un-instrumented batch runs, observed through a
+    /// timing probe, so the per-stage breakdown reflects exactly what
+    /// production executes. Multi-bit combined-GGSW assembly accounts
+    /// to [`PbsStage::VectorMultiply`], monomial-degree computation to
+    /// [`PbsStage::ModSwitch`].
     ///
     /// # Errors
     ///
     /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was sized for a different parameter set.
-    pub fn blind_rotate_batch_with(
+    pub fn bootstrap_batch_profiled(
         &self,
         jobs: &[PbsJob<'_>],
-        scratch: &mut PbsScratch,
-    ) -> Result<Vec<GlweCiphertext>, TfheError> {
-        self.blind_rotate_batch_core(jobs, scratch, &mut NoProbe)
+        timings: &mut StageTimings,
+    ) -> Result<Vec<LweCiphertext>, TfheError> {
+        for job in jobs {
+            self.check_shape(job.ct, job.lut)?;
+        }
+        Ok(self.run(jobs, &mut self.scratch(), &mut TimingProbe(timings)))
     }
 
-    /// The single implementation behind the batched blind rotation,
-    /// generic over a [`Probe`] (production: [`NoProbe`]; the
-    /// per-stage breakdown harness: [`TimingProbe`]).
-    fn blind_rotate_batch_core<P: Probe>(
+    /// Scratch sized to this key — one per thread.
+    fn scratch(&self) -> PbsScratch {
+        PbsScratch::new(self.glwe_dimension, self.poly_size, self.decomp, self.kernel())
+    }
+
+    /// Number of blind-rotation steps: `n` (classical) or `⌈n/g⌉`
+    /// (multi-bit).
+    fn step_count(&self) -> usize {
+        match self.steps {
+            Steps::Classical => self.input_dimension,
+            Steps::MultiBit { grouping_factor, .. } => {
+                self.input_dimension.div_ceil(grouping_factor)
+            }
+        }
+    }
+
+    /// The secret bits step `step` covers, as `(first bit, bit count)`.
+    fn step_bits(&self, step: usize) -> (usize, usize) {
+        match self.steps {
+            Steps::Classical => (step, 1),
+            Steps::MultiBit { grouping_factor: g, .. } => {
+                (step * g, g.min(self.input_dimension - step * g))
+            }
+        }
+    }
+
+    /// The key entries step `step` consumes: one GGSW (classical) or
+    /// the group's `2^m` pattern entries (multi-bit).
+    fn step_entries(&self, step: usize) -> &[FourierGgsw] {
+        match self.steps {
+            Steps::Classical => &self.entries[step..=step],
+            Steps::MultiBit { grouping_factor: g, .. } => {
+                let bits = self.step_bits(step).1;
+                &self.entries[step << g..(step << g) + (1 << bits)]
+            }
+        }
+    }
+
+    /// The blocked PBS driver behind every bootstrap entry point, for
+    /// both kernels, generic over a [`Probe`] (production: [`NoProbe`],
+    /// which inlines to nothing; the stage breakdown: [`TimingProbe`])
+    /// so instrumented and production execution can never drift. Jobs
+    /// must already be shape-checked.
+    ///
+    /// 1. **Initial rotation** by each body (Algorithm 1 lines 3–4).
+    /// 2. **Hoisted modulus switch**: every mask element of every job
+    ///    is switched once, up front, into an entry-major table
+    ///    (`switched[i·batch + j]`), so a step reads each bit's
+    ///    rotation amounts as one contiguous slice. The values live in
+    ///    `[0, 2N)`, so `u32` keeps the table a quarter the size of the
+    ///    masks; `modulus_switch` is a pure rounding shift, so hoisting
+    ///    is bit-identical to switching in-loop.
+    /// 3. **Key-major, job-blocked rotation**: for each step, the step's
+    ///    key entries are applied to the batch in blocks of
+    ///    [`CMUX_JOB_BLOCK`] jobs ([`Self::cmux_block`] or
+    ///    [`Self::grouped_cmux_block`]).
+    /// 4. **Sample extraction**, in job order.
+    // lint:hot-path-start — the PBS driver and both step kernels must stay allocation-free per step
+    fn run<P: Probe>(
         &self,
         jobs: &[PbsJob<'_>],
         scratch: &mut PbsScratch,
         probe: &mut P,
-    ) -> Result<Vec<GlweCiphertext>, TfheError> {
+    ) -> Vec<LweCiphertext> {
+        scratch.check_shape(self.glwe_dimension, self.poly_size, self.decomp.level, self.kernel());
         let log2_two_n = self.poly_size.trailing_zeros() + 1;
-        for job in jobs {
-            self.check_shape(job.ct, job.lut)?;
-        }
-        scratch.check_shape(self.glwe_dimension, self.poly_size, self.decomp.level);
-
-        // Initial rotation by each body (Algorithm 1 lines 3–4).
+        let batch = jobs.len();
         let mut accs: Vec<GlweCiphertext> = jobs
             .iter()
             .map(|job| {
                 let b_tilde = modulus_switch(job.ct.body(), log2_two_n) as usize;
                 GlweCiphertext::trivial(self.glwe_dimension, job.lut.poly().rotate_left(b_tilde))
             })
+            // lint:allow(alloc) per-epoch accumulators, set up before the step loop
             .collect();
-
-        // Epoch-wide hoisting: switch every mask element of every job
-        // once, up front, instead of re-running `modulus_switch` inside
-        // the key-major inner loop (`n · batch` calls per epoch). The
-        // table is **entry-major** (`switched[i·batch + j]`), so the
-        // key-major loop below reads each entry's rotation amounts as
-        // one contiguous slice per block. The switched values live in
-        // `[0, 2N)` so `u32` keeps the table a quarter the size of the
-        // masks it replaces. `modulus_switch` is a pure rounding shift,
-        // so precomputation is bit-identical to switching in-loop.
-        let n_iter = self.ggsws.len();
-        let batch = jobs.len();
-        let mut switched = vec![0u32; batch * n_iter];
+        // lint:allow(alloc) per-epoch switched-mask table, set up before the step loop
+        let mut switched = vec![0u32; batch * self.input_dimension];
         probe.time(PbsStage::ModSwitch, || {
             for (j, job) in jobs.iter().enumerate() {
                 for (i, &a) in job.ct.mask().iter().enumerate() {
@@ -524,42 +639,100 @@ impl BootstrapKey {
                 }
             }
         });
-
-        // Key-major, job-blocked blind rotation: fetch GGSW i once,
-        // use it for the whole batch, block by block.
-        for (i, ggsw) in self.ggsws.iter().enumerate() {
-            let amounts = &switched[i * batch..(i + 1) * batch];
-            for (accs_block, amounts_block) in
-                accs.chunks_mut(CMUX_JOB_BLOCK).zip(amounts.chunks(CMUX_JOB_BLOCK))
-            {
-                self.cmux_block(ggsw, accs_block, amounts_block, scratch, probe);
+        for step in 0..self.step_count() {
+            let (first_bit, bits) = self.step_bits(step);
+            let rows = &switched[first_bit * batch..(first_bit + bits) * batch];
+            let entries = self.step_entries(step);
+            for (bi, block) in accs.chunks_mut(CMUX_JOB_BLOCK).enumerate() {
+                let job0 = bi * CMUX_JOB_BLOCK;
+                match &self.steps {
+                    Steps::Classical => {
+                        let amounts = &rows[job0..job0 + block.len()];
+                        self.cmux_block(&entries[0], block, amounts, scratch, probe);
+                    }
+                    Steps::MultiBit { mono, .. } => {
+                        self.grouped_cmux_block(entries, mono, rows, job0, block, scratch, probe);
+                    }
+                }
             }
         }
-        Ok(accs)
+        probe.time(PbsStage::SampleExtract, || {
+            // lint:allow(alloc) the epoch's outputs
+            accs.iter().map(GlweCiphertext::sample_extract).collect()
+        })
     }
 
-    /// One blocked CMUX step: applies `ggsw` to every accumulator of
-    /// the block whose rotation amount is non-zero, computing
-    /// `acc ← acc + ggsw ⊡ (X^ã·acc − acc)` for each, bit-identically
-    /// to the per-job path but scheduled for locality:
+    /// Gadget-decomposes `glwe`'s `k+1` polynomials into `all_digits`
+    /// and forward-transforms all `(k+1)·l` digit polynomials into
+    /// `digits` as one batch — the decomposer → FFT staging both step
+    /// kernels share.
+    fn stage_digits<P: Probe>(
+        &self,
+        glwe: &GlweCiphertext,
+        all_digits: &mut [i64],
+        decomp_state: &mut [u64],
+        digits: &mut SoaSpectrum,
+        probe: &mut P,
+    ) {
+        let chunk = self.decomp.level * self.poly_size;
+        probe.time(PbsStage::Decompose, || {
+            for (poly, levels) in glwe.polys().zip(all_digits.chunks_exact_mut(chunk)) {
+                self.decomp.decompose_polynomial_levels(poly, levels, decomp_state);
+            }
+        });
+        probe.time(PbsStage::Fft, || {
+            self.fft
+                .forward_i64_many(all_digits, digits)
+                // lint:allow(panic) shape invariant established at construction
+                .expect("digit batch matches the fft plan");
+        });
+    }
+
+    /// Inverse-transforms the `k+1` accumulator spectra in `spec` and
+    /// folds them into `acc` coefficient by coefficient with `combine`
+    /// (`+=` for the classical CMUX, `=` for the multi-bit one) — the
+    /// IFFT → accumulator drain both step kernels share.
+    fn drain<P: Probe>(
+        &self,
+        spec: &mut SoaSpectrum,
+        time: &mut [f64],
+        acc: &mut GlweCiphertext,
+        combine: impl Fn(u64, u64) -> u64,
+        probe: &mut P,
+    ) {
+        probe.time(PbsStage::IfftAccumulate, || {
+            self.fft
+                .backward_f64_many(spec, time)
+                // lint:allow(panic) shape invariant established at construction
+                .expect("accumulator batch matches the fft plan");
+            for (col, time) in time.chunks_exact(self.poly_size).enumerate() {
+                // lint:allow(panic) shape invariant established at construction
+                let poly = acc.poly_mut(col).expect("column within GLWE dimension");
+                for (o, &v) in poly.coeffs_mut().iter_mut().zip(time) {
+                    *o = combine(*o, f64_to_torus(v));
+                }
+            }
+        });
+    }
+
+    /// One blocked classical CMUX step: applies `ggsw` to every
+    /// accumulator of the block whose rotation amount is non-zero,
+    /// computing `acc ← acc + ggsw ⊡ (X^ã·acc − acc)` for each,
+    /// bit-identically to the per-job oracle
+    /// ([`crate::reference::blind_rotate`]) but scheduled for locality:
     ///
-    /// 1. **Stage** — per job: rotate-and-subtract, gadget-decompose
-    ///    all `k+1` difference polynomials, and run all `(k+1)·l`
-    ///    forward FFTs as one batched split-complex transform.
+    /// 1. **Stage** — per job: rotate-and-subtract, then
+    ///    [`Self::stage_digits`] on the difference.
     /// 2. **VMA, row-major across the block** — for each of the
     ///    `(k+1)·l` key rows, multiply–accumulate it against every
     ///    staged job before the next row streams in, so the row stays
     ///    in L1 across the block.
-    /// 3. **Drain** — per job: one batched inverse transform of the
-    ///    `k+1` accumulator spectra, fused with the torus conversion
-    ///    and the accumulator update.
+    /// 3. **Drain** — per job: [`Self::drain`] with `+=`.
     ///
     /// Per job, rows are visited in the same order and every
-    /// floating-point/torus operation is the same as in
-    /// [`FourierGgsw::external_product_scratch`] — only the loop
-    /// nesting across *independent* jobs differs, which cannot change
-    /// a bit of any output.
-    // lint:hot-path-start — the blocked classical CMUX kernel must stay allocation-free
+    /// floating-point/torus operation is the same as in the oracle —
+    /// only the loop nesting across *independent* jobs differs, which
+    /// cannot change a bit of any output.
     fn cmux_block<P: Probe>(
         &self,
         ggsw: &FourierGgsw,
@@ -571,11 +744,11 @@ impl BootstrapKey {
         debug_assert_eq!(accs.len(), amounts.len());
         debug_assert!(accs.len() <= CMUX_JOB_BLOCK);
         let k = self.glwe_dimension;
-        let n = self.poly_size;
         let level = self.decomp.level;
-        let PbsScratch { diff, ep, all_digits, digit_batch, acc_batch, time_batch, .. } = scratch;
+        let PbsScratch {
+            diff, decomp_state, all_digits, digit_batch, acc_batch, time_batch, ..
+        } = scratch;
 
-        // Stage: rotate/subtract, decompose, batched forward FFTs.
         for ((acc, &amt), digits) in accs.iter().zip(amounts).zip(digit_batch.iter_mut()) {
             if amt == 0 {
                 continue;
@@ -585,21 +758,7 @@ impl BootstrapKey {
                 // lint:allow(panic) shape invariant established at construction
                 diff.sub_assign(acc).expect("scratch shape is pre-validated");
             });
-            probe.time(PbsStage::Decompose, || {
-                for (j, poly) in diff.polys().enumerate() {
-                    self.decomp.decompose_polynomial_levels(
-                        poly,
-                        &mut all_digits[j * level * n..(j + 1) * level * n],
-                        &mut ep.decomp_state,
-                    );
-                }
-            });
-            probe.time(PbsStage::Fft, || {
-                self.fft
-                    .forward_i64_many(all_digits, digits)
-                    // lint:allow(panic) shape invariant established at construction
-                    .expect("digit batch matches the fft plan");
-            });
+            self.stage_digits(diff, all_digits, decomp_state, digits, probe);
         }
 
         // VMA, row-major across the block: key row `r` is loaded once
@@ -628,578 +787,18 @@ impl BootstrapKey {
             }
         });
 
-        // Drain: batched inverse, fused torus conversion + accumulate.
         for ((acc, &amt), spec) in accs.iter_mut().zip(amounts).zip(acc_batch.iter_mut()) {
-            if amt == 0 {
-                continue;
-            }
-            probe.time(PbsStage::IfftAccumulate, || {
-                self.fft
-                    .backward_f64_many(spec, time_batch)
-                    // lint:allow(panic) shape invariant established at construction
-                    .expect("accumulator batch matches the fft plan");
-                for (col, time) in time_batch.chunks_exact(n).enumerate() {
-                    // lint:allow(panic) shape invariant established at construction
-                    let poly = acc.poly_mut(col).expect("column within GLWE dimension");
-                    for (o, &v) in poly.coeffs_mut().iter_mut().zip(time) {
-                        *o = o.wrapping_add(f64_to_torus(v));
-                    }
-                }
-            });
-        }
-    }
-    // lint:hot-path-end
-
-    /// Batched programmable bootstrap: [`Self::blind_rotate_batch`]
-    /// followed by per-job sample extraction. Outputs are in job order
-    /// and still under the extracted (`k·N`) key.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
-    pub fn bootstrap_batch(&self, jobs: &[PbsJob<'_>]) -> Result<Vec<LweCiphertext>, TfheError> {
-        Ok(self.blind_rotate_batch(jobs)?.iter().map(GlweCiphertext::sample_extract).collect())
-    }
-
-    /// As [`Self::bootstrap_batch`] with per-stage timing
-    /// instrumentation over the **production blocked CMUX path** —
-    /// the same kernel the un-instrumented batch runs, observed
-    /// through a timing probe, so the per-stage breakdown
-    /// (decompose / forward FFT / VMA / inverse FFT) reflects exactly
-    /// what production executes. Used by the `bench_snapshot` harness.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
-    pub fn bootstrap_batch_profiled(
-        &self,
-        jobs: &[PbsJob<'_>],
-        timings: &mut StageTimings,
-    ) -> Result<Vec<LweCiphertext>, TfheError> {
-        let mut scratch = self.scratch();
-        let mut probe = TimingProbe(timings);
-        let accs = self.blind_rotate_batch_core(jobs, &mut scratch, &mut probe)?;
-        Ok(probe.time(PbsStage::SampleExtract, || {
-            accs.iter().map(GlweCiphertext::sample_extract).collect()
-        }))
-    }
-
-    /// Parallel epoch execution: splits `jobs` into `threads`
-    /// contiguous shards and runs each through the key-major
-    /// [`Self::bootstrap_batch`] on its own [`std::thread::scope`]
-    /// worker with its own [`PbsScratch`], all sharing this
-    /// `&BootstrapKey`. This is the software form of the paper's
-    /// two-level batching actually running in parallel: core-level
-    /// batching (key-major reuse) *within* each shard, device-level
-    /// parallelism *across* shards.
-    ///
-    /// Results come back **in job order** and are **bit-identical** to
-    /// the sequential path — each job's CMUX sequence depends only on
-    /// its own ciphertext, so sharding cannot change a single
-    /// floating-point operation.
-    ///
-    /// `threads` is clamped to `[1, jobs.len()]`; `threads <= 1` runs
-    /// sequentially on the calling thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] if any job's shape
-    /// disagrees with the key (validated up front, before any thread
-    /// is spawned).
-    pub fn bootstrap_batch_parallel(
-        &self,
-        jobs: &[PbsJob<'_>],
-        threads: usize,
-    ) -> Result<Vec<LweCiphertext>, TfheError> {
-        for job in jobs {
-            self.check_shape(job.ct, job.lut)?;
-        }
-        let threads = threads.max(1).min(jobs.len());
-        if threads <= 1 {
-            return self.bootstrap_batch(jobs);
-        }
-        // Balanced contiguous shards: the first `jobs % threads` shards
-        // take one extra job, so exactly `threads` workers spawn and no
-        // worker trails the rest by more than one PBS. Contiguity
-        // preserves key-major order within each shard and job order
-        // across the concatenated results.
-        let base = jobs.len() / threads;
-        let extra = jobs.len() % threads;
-        let shards: Vec<Result<Vec<LweCiphertext>, TfheError>> = std::thread::scope(|scope| {
-            let mut start = 0;
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    let len = base + usize::from(i < extra);
-                    let shard = &jobs[start..start + len];
-                    start += len;
-                    scope.spawn(move || self.bootstrap_batch(shard))
-                })
-                .collect();
-            // lint:allow(panic) a worker panic is propagated, not swallowed
-            handles.into_iter().map(|h| h.join().expect("PBS shard worker panicked")).collect()
-        });
-        let mut out = Vec::with_capacity(jobs.len());
-        for shard in shards {
-            out.extend(shard?);
-        }
-        Ok(out)
-    }
-
-    /// Full programmable bootstrap: blind rotation followed by sample
-    /// extraction. The output is an LWE ciphertext of dimension `k·N`
-    /// encrypting `lut[phase]` with *fresh* noise, still under the
-    /// extracted key — keyswitching back to the original key is a
-    /// separate step (Algorithm 2, [`crate::keyswitch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    pub fn bootstrap(&self, ct: &LweCiphertext, lut: &Lut) -> Result<LweCiphertext, TfheError> {
-        Ok(self.blind_rotate(ct, lut)?.sample_extract())
-    }
-
-    /// Profiled variant of [`Self::bootstrap`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    pub fn bootstrap_profiled(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-        timings: &mut StageTimings,
-    ) -> Result<LweCiphertext, TfheError> {
-        let acc = self.blind_rotate_profiled(ct, lut, timings)?;
-        let t0 = std::time::Instant::now();
-        let out = acc.sample_extract();
-        timings.add(PbsStage::SampleExtract, t0.elapsed());
-        Ok(out)
-    }
-}
-
-/// The **multi-bit** bootstrapping key: `⌈n/g⌉` *groups* of
-/// Fourier-domain GGSW entries for grouping factor `g` — the software
-/// counterpart of tfhe-rs's CUDA `MULTI_BIT` PBS kernel.
-///
-/// Group `i` covers secret bits `s_{ig} .. s_{ig+g-1}` and stores `2^g`
-/// GGSW encryptions, one per bit pattern `b ∈ {0,1}^g`, of the
-/// *indicator product* `m_b = ∏_j s^{b_j} · (1−s)^{1−b_j}` — exactly
-/// one `m_b` equals 1 (the pattern matching the actual key bits), the
-/// rest encrypt 0. The last group covers the `n mod g` remainder bits
-/// with `2^{n mod g}` entries.
-///
-/// Blind rotation then needs only **one external product per group**
-/// instead of one CMUX per bit: since
-/// `X^{Σ_j ã_j s_j} = Σ_b X^{⟨b, ã⟩} · m_b`, the server assembles the
-/// *combined* GGSW `G = Σ_b X^{d_b} · GGSW(m_b)` (monomial weighting is
-/// a pointwise spectrum multiply, [`MonomialTable`]) and replaces the
-/// accumulator with `G ⊡ acc` — a rotation of the accumulator by the
-/// whole group's phase contribution in a single decompose → FFT → VMA →
-/// IFFT pass. `⌈n/g⌉` passes replace `n`, trading a `2^g/g ×` larger
-/// key (and a `2^g ×` key-noise term, see
-/// [`crate::noise::multi_bit_external_product_variance`]) for `g ×`
-/// fewer transforms.
-///
-/// Outputs are **not bit-identical** to [`BootstrapKey`] — the
-/// arithmetic is genuinely different — but decrypt to the same message:
-/// both kernels realise the same blind rotation
-/// `X^{b̃ + Σ ã_j s_j} · lut`.
-#[derive(Clone, Debug)]
-pub struct MultiBitBootstrapKey {
-    /// Group `i` holds `2^{m_i}` pattern entries (`m_i = g` except for
-    /// the remainder group).
-    groups: Vec<Vec<FourierGgsw>>,
-    fft: NegacyclicFft,
-    mono: MonomialTable,
-    glwe_dimension: usize,
-    poly_size: usize,
-    decomp: DecompositionParams,
-    grouping_factor: usize,
-    input_dimension: usize,
-}
-
-impl MultiBitBootstrapKey {
-    /// Generates a multi-bit bootstrapping key encrypting `lwe_sk`
-    /// under `glwe_sk` at `grouping_factor` bits per key entry.
-    ///
-    /// Every one of a group's `2^g` pattern entries is a *real* GGSW
-    /// encryption (including the `2^g − 1` encryptions of zero): which
-    /// single pattern holds the 1 is exactly the key material.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grouping_factor` is 0, exceeds
-    /// [`PbsKernel::MAX_GROUPING_FACTOR`] or exceeds the LWE dimension
-    /// (all rejected earlier by [`TfheParameters::validate`]).
-    pub fn generate(
-        lwe_sk: &LweSecretKey,
-        glwe_sk: &GlweSecretKey,
-        params: &TfheParameters,
-        grouping_factor: usize,
-        rng: &mut NoiseSampler,
-    ) -> Self {
-        Self::check_grouping(grouping_factor, lwe_sk.bits().len());
-        let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
-        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
-            // lint:allow(panic) parameters were validated at construction
-            .expect("validated parameters have power-of-two N and an available backend");
-        let groups = lwe_sk
-            .bits()
-            .chunks(grouping_factor)
-            .map(|bits| {
-                (0..1usize << bits.len())
-                    .map(|pattern| {
-                        let indicator: u64 = bits
-                            .iter()
-                            .enumerate()
-                            .map(|(t, &s)| if (pattern >> t) & 1 == 1 { s } else { 1 - s })
-                            .product();
-                        GgswCiphertext::encrypt_scalar(
-                            indicator,
-                            glwe_sk,
-                            decomp,
-                            params.glwe_noise_std,
-                            rng,
-                        )
-                        .to_fourier(&fft)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mono = MonomialTable::for_plan(&fft);
-        Self {
-            groups,
-            fft,
-            mono,
-            glwe_dimension: params.glwe_dimension,
-            poly_size: params.polynomial_size,
-            decomp,
-            grouping_factor,
-            input_dimension: params.lwe_dimension,
-        }
-    }
-
-    /// Generates a *timing-equivalent* multi-bit key without real
-    /// encryption: every pattern entry is a trivial GGSW of 1 (same
-    /// convention as [`BootstrapKey::generate_for_benchmark`]). The
-    /// grouped rotation performs exactly the same arithmetic as with a
-    /// real key; outputs are cryptographically meaningless.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grouping_factor` is out of range (see
-    /// [`Self::generate`]).
-    pub fn generate_for_benchmark(params: &TfheParameters, grouping_factor: usize) -> Self {
-        Self::check_grouping(grouping_factor, params.lwe_dimension);
-        let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
-        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
-            // lint:allow(panic) parameters were validated at construction
-            .expect("validated parameters have power-of-two N and an available backend");
-        let template =
-            GgswCiphertext::trivial(1, params.glwe_dimension, params.polynomial_size, decomp)
-                .to_fourier(&fft);
-        let full_groups = params.lwe_dimension / grouping_factor;
-        let remainder = params.lwe_dimension % grouping_factor;
-        let mut groups: Vec<Vec<FourierGgsw>> =
-            vec![vec![template.clone(); 1 << grouping_factor]; full_groups];
-        if remainder > 0 {
-            groups.push(vec![template; 1 << remainder]);
-        }
-        let mono = MonomialTable::for_plan(&fft);
-        Self {
-            groups,
-            fft,
-            mono,
-            glwe_dimension: params.glwe_dimension,
-            poly_size: params.polynomial_size,
-            decomp,
-            grouping_factor,
-            input_dimension: params.lwe_dimension,
-        }
-    }
-
-    /// Expansion half of seeded key transport: rebuilds every pattern
-    /// entry from its stored body polynomials and the CRS mask stream
-    /// (drawn in generation order: group-major, then pattern), then
-    /// runs the usual Fourier materialisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group/entry structure does not match the
-    /// parameters (transport payload invariant).
-    pub(crate) fn from_seeded_parts(
-        group_bodies: &[Vec<Vec<TorusPolynomial>>],
-        params: &TfheParameters,
-        grouping_factor: usize,
-        crs: &mut NoiseSampler,
-    ) -> Self {
-        Self::check_grouping(grouping_factor, params.lwe_dimension);
-        assert_eq!(
-            group_bodies.len(),
-            params.multi_bit_group_count(grouping_factor),
-            "seeded mbsk group count"
-        );
-        let decomp = DecompositionParams::new(params.pbs_base_log, params.pbs_level);
-        let fft = NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
-            // lint:allow(panic) parameters were validated at construction
-            .expect("validated parameters have power-of-two N and an available backend");
-        let groups = group_bodies
-            .iter()
-            .map(|entries| {
-                entries
-                    .iter()
-                    .map(|entry| {
-                        GgswCiphertext::from_seeded_parts(entry, decomp, params.glwe_dimension, crs)
-                            .to_fourier(&fft)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mono = MonomialTable::for_plan(&fft);
-        Self {
-            groups,
-            fft,
-            mono,
-            glwe_dimension: params.glwe_dimension,
-            poly_size: params.polynomial_size,
-            decomp,
-            grouping_factor,
-            input_dimension: params.lwe_dimension,
-        }
-    }
-
-    fn check_grouping(grouping_factor: usize, lwe_dimension: usize) {
-        assert!(grouping_factor >= 1, "grouping factor must be positive");
-        assert!(
-            grouping_factor <= PbsKernel::MAX_GROUPING_FACTOR,
-            "grouping factor exceeds the supported maximum"
-        );
-        assert!(grouping_factor <= lwe_dimension, "grouping factor exceeds the lwe dimension");
-    }
-
-    /// Input LWE dimension `n`.
-    #[inline]
-    pub fn input_dimension(&self) -> usize {
-        self.input_dimension
-    }
-
-    /// Output LWE dimension `k·N` after sample extraction.
-    #[inline]
-    pub fn output_dimension(&self) -> usize {
-        self.glwe_dimension * self.poly_size
-    }
-
-    /// Polynomial size `N`.
-    #[inline]
-    pub fn poly_size(&self) -> usize {
-        self.poly_size
-    }
-
-    /// Secret bits collapsed per key entry.
-    #[inline]
-    pub fn grouping_factor(&self) -> usize {
-        self.grouping_factor
-    }
-
-    /// Number of blind-rotation groups `⌈n/g⌉` (= external products per
-    /// bootstrap).
-    #[inline]
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The decomposition used by the external products.
-    #[inline]
-    pub fn decomposition(&self) -> DecompositionParams {
-        self.decomp
-    }
-
-    /// The FFT plan shared by all external products.
-    #[inline]
-    pub fn fft(&self) -> &NegacyclicFft {
-        &self.fft
-    }
-
-    /// Allocates a [`MultiBitPbsScratch`] sized to this key — one per
-    /// thread, reused across every bootstrap that thread performs.
-    pub fn scratch(&self) -> MultiBitPbsScratch {
-        MultiBitPbsScratch::new(
-            self.glwe_dimension,
-            self.poly_size,
-            self.decomp,
-            self.grouping_factor,
-        )
-    }
-
-    /// Total Fourier-domain key size in bytes — `2^g/g ×` the classical
-    /// key (`Σ` over groups of `2^{m_i}` entries).
-    pub fn byte_size(&self) -> usize {
-        self.groups.iter().flatten().map(FourierGgsw::byte_size).sum()
-    }
-
-    /// Checks that a `(ciphertext, LUT)` pair matches this key's shape —
-    /// identical validation to [`BootstrapKey::check_shape`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] naming the mismatch.
-    pub fn check_shape(&self, ct: &LweCiphertext, lut: &Lut) -> Result<(), TfheError> {
-        if ct.dimension() != self.input_dimension {
-            return Err(TfheError::ParameterMismatch {
-                what: "lwe dimension",
-                left: ct.dimension(),
-                right: self.input_dimension,
-            });
-        }
-        if lut.poly_size() != self.poly_size {
-            return Err(TfheError::ParameterMismatch {
-                what: "polynomial size",
-                left: lut.poly_size(),
-                right: self.poly_size,
-            });
-        }
-        Ok(())
-    }
-
-    /// Grouped blind rotation: rotates `lut` by the encrypted phase of
-    /// `ct` in `⌈n/g⌉` external products.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    pub fn blind_rotate(&self, ct: &LweCiphertext, lut: &Lut) -> Result<GlweCiphertext, TfheError> {
-        let mut scratch = self.scratch();
-        self.blind_rotate_with(ct, lut, &mut scratch)
-    }
-
-    /// As [`Self::blind_rotate`] with caller-provided scratch. A single
-    /// job runs through the same grouped batch core as an epoch, so the
-    /// single and batched paths are bit-identical by construction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was sized for a different parameter set or
-    /// grouping factor.
-    pub fn blind_rotate_with(
-        &self,
-        ct: &LweCiphertext,
-        lut: &Lut,
-        scratch: &mut MultiBitPbsScratch,
-    ) -> Result<GlweCiphertext, TfheError> {
-        let jobs = [PbsJob { ct, lut }];
-        let mut accs = self.blind_rotate_batch_core(&jobs, scratch, &mut NoProbe)?;
-        // lint:allow(panic) batch core returns one accumulator per job
-        Ok(accs.pop().expect("one job in, one accumulator out"))
-    }
-
-    /// Grouped blind rotation of a whole batch, key-major and
-    /// job-blocked like the classical kernel: the outer loop walks the
-    /// `⌈n/g⌉` groups, and within each group the batch is processed in
-    /// blocks of [`CMUX_JOB_BLOCK`] jobs so a group's `2^g` pattern
-    /// entries are streamed once per block rather than once per job.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
-    pub fn blind_rotate_batch(
-        &self,
-        jobs: &[PbsJob<'_>],
-    ) -> Result<Vec<GlweCiphertext>, TfheError> {
-        let mut scratch = self.scratch();
-        self.blind_rotate_batch_with(jobs, &mut scratch)
-    }
-
-    /// As [`Self::blind_rotate_batch`] with caller-provided scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was sized for a different parameter set or
-    /// grouping factor.
-    pub fn blind_rotate_batch_with(
-        &self,
-        jobs: &[PbsJob<'_>],
-        scratch: &mut MultiBitPbsScratch,
-    ) -> Result<Vec<GlweCiphertext>, TfheError> {
-        self.blind_rotate_batch_core(jobs, scratch, &mut NoProbe)
-    }
-
-    /// The single implementation behind every grouped blind-rotation
-    /// entry point, generic over a [`Probe`] so the profiled and
-    /// production paths cannot drift.
-    fn blind_rotate_batch_core<P: Probe>(
-        &self,
-        jobs: &[PbsJob<'_>],
-        scratch: &mut MultiBitPbsScratch,
-        probe: &mut P,
-    ) -> Result<Vec<GlweCiphertext>, TfheError> {
-        let log2_two_n = self.poly_size.trailing_zeros() + 1;
-        for job in jobs {
-            self.check_shape(job.ct, job.lut)?;
-        }
-        scratch.check_shape(
-            self.glwe_dimension,
-            self.poly_size,
-            self.decomp.level,
-            self.grouping_factor,
-        );
-
-        // Initial rotation by each body (identical to the classical
-        // kernel — only the mask handling differs between kernels).
-        let mut accs: Vec<GlweCiphertext> = jobs
-            .iter()
-            .map(|job| {
-                let b_tilde = modulus_switch(job.ct.body(), log2_two_n) as usize;
-                GlweCiphertext::trivial(self.glwe_dimension, job.lut.poly().rotate_left(b_tilde))
-            })
-            .collect();
-
-        // Epoch-wide hoisted modulus switch, entry-major exactly like
-        // the classical batch path: bit `i`'s switched amounts for the
-        // whole batch are one contiguous slice.
-        let n_in = self.input_dimension;
-        let batch = jobs.len();
-        let mut switched = vec![0u32; batch * n_in];
-        probe.time(PbsStage::ModSwitch, || {
-            for (j, job) in jobs.iter().enumerate() {
-                for (i, &a) in job.ct.mask().iter().enumerate() {
-                    switched[i * batch + j] = modulus_switch(a, log2_two_n) as u32;
-                }
-            }
-        });
-
-        // Group-major, job-blocked grouped rotation: fetch group `gi`'s
-        // pattern entries once per block of jobs.
-        for (gi, entries) in self.groups.iter().enumerate() {
-            let first_bit = gi * self.grouping_factor;
-            let group_bits = entries.len().trailing_zeros() as usize;
-            for (bi, accs_block) in accs.chunks_mut(CMUX_JOB_BLOCK).enumerate() {
-                self.grouped_cmux_block(
-                    entries,
-                    first_bit,
-                    group_bits,
-                    &switched,
-                    batch,
-                    bi * CMUX_JOB_BLOCK,
-                    accs_block,
-                    scratch,
-                    probe,
-                );
+            if amt != 0 {
+                self.drain(spec, time_batch, acc, u64::wrapping_add, probe);
             }
         }
-        Ok(accs)
     }
 
-    /// One blocked grouped-CMUX step: replaces every active accumulator
-    /// of the block with `G_job ⊡ acc`, where `G_job` is the job's
-    /// combined GGSW for this group. Four stages:
+    /// One blocked multi-bit step: replaces every active accumulator of
+    /// the block with `G_job ⊡ acc`, where `G_job` is the job's
+    /// combined GGSW for this group (`entries`, `2^m` patterns; `rows`
+    /// holds the group's `m` switched-mask rows for the whole batch,
+    /// and the block starts at job `job0`). Four stages:
     ///
     /// 1. **Degrees** — per job, first an all-zero probe of the group's
     ///    digits (a job whose digits are all zero is skipped outright,
@@ -1216,61 +815,52 @@ impl MultiBitBootstrapKey {
     ///    once per `(job, pattern)` and reused across all
     ///    `(k+1)·l · (k+1)` transforms. Pattern-major order streams
     ///    each key entry once per block.
-    /// 3. **External product staging** — per job: gadget-decompose the
-    ///    accumulator polynomials *directly* (no rotate-and-subtract —
-    ///    the combined GGSW carries the rotation), one batched forward
-    ///    transform, then the job-major VMA against the job's combined
-    ///    spectrum (plane pointers hoisted once per job).
-    /// 4. **Drain** — one batched inverse transform per job, fused with
-    ///    the torus conversion, **replacing** the accumulator
-    ///    (`acc ← G ⊡ acc`, not `acc += …`).
-    #[allow(clippy::too_many_arguments)]
-    // lint:hot-path-start — the blocked grouped CMUX kernel must stay allocation-free
+    /// 3. **External product** — per job: [`Self::stage_digits`] on the
+    ///    accumulator itself (no rotate-and-subtract — the combined
+    ///    GGSW carries the rotation), then the job-major VMA against
+    ///    the job's combined spectrum (plane pointers hoisted once per
+    ///    job).
+    /// 4. **Drain** — per job: [`Self::drain`] **replacing** the
+    ///    accumulator (`acc ← G ⊡ acc`, not `acc += …`).
+    #[allow(clippy::too_many_arguments)] // the step's key, mask rows and block, plus shared state
     fn grouped_cmux_block<P: Probe>(
         &self,
         entries: &[FourierGgsw],
-        first_bit: usize,
-        group_bits: usize,
-        switched: &[u32],
-        batch: usize,
+        mono: &MonomialTable,
+        rows: &[u32],
         job0: usize,
         accs: &mut [GlweCiphertext],
-        scratch: &mut MultiBitPbsScratch,
+        scratch: &mut PbsScratch,
         probe: &mut P,
     ) {
         debug_assert!(accs.len() <= CMUX_JOB_BLOCK);
         let k = self.glwe_dimension;
-        let n = self.poly_size;
-        let two_n = 2 * n;
-        let level = self.decomp.level;
+        let two_n = 2 * self.poly_size;
         let cols = k + 1;
-        let rows = cols * level;
-        let patterns = 1usize << group_bits;
-        let MultiBitPbsScratch {
+        let key_rows = cols * self.decomp.level;
+        let group_bits = entries.len().trailing_zeros() as usize;
+        let patterns = entries.len();
+        let batch = rows.len() / group_bits;
+        let PbsScratch {
             decomp_state,
             all_digits,
             digit_batch,
             acc_batch,
+            time_batch,
             comb_batch,
             mono_re,
             mono_im,
             degrees,
-            time_batch,
             ..
         } = scratch;
 
         // Stage 1: active flags, then monomial degrees for active jobs
-        // only. The all-zero probe runs *before* the `2^m` degree
-        // recurrence: a job whose group digits are all zero would
-        // assemble `G = GGSW(X^0·Σ m_b) = GGSW(1)`, the exact identity
-        // the classical kernel also skips on `ã = 0`, so neither the
-        // recurrence nor any later stage needs to touch it.
+        // only.
         let mut active = [false; CMUX_JOB_BLOCK];
         let mut any_active = false;
         probe.time(PbsStage::ModSwitch, || {
             for (j, slot) in active.iter_mut().enumerate().take(accs.len()) {
-                let digits =
-                    (0..group_bits).map(|t| switched[(first_bit + t) * batch + job0 + j] as usize);
+                let digits = (0..group_bits).map(|t| rows[t * batch + job0 + j] as usize);
                 if digits.clone().all(|a| a == 0) {
                     continue;
                 }
@@ -1310,8 +900,7 @@ impl MultiBitBootstrapKey {
                     if !active[j] {
                         continue;
                     }
-                    self.mono
-                        .spectrum_into(degrees[j * patterns + pattern], mono_re, mono_im)
+                    mono.spectrum_into(degrees[j * patterns + pattern], mono_re, mono_im)
                         // lint:allow(panic) shape invariant established at construction
                         .expect("monomial planes are sized to the fft plan");
                     let (c_re_plane, c_im_plane) = comb.planes_mut();
@@ -1328,24 +917,9 @@ impl MultiBitBootstrapKey {
 
         // Stage 3a: decompose the accumulators directly and transform.
         for (j, acc) in accs.iter().enumerate() {
-            if !active[j] {
-                continue;
+            if active[j] {
+                self.stage_digits(acc, all_digits, decomp_state, &mut digit_batch[j], probe);
             }
-            probe.time(PbsStage::Decompose, || {
-                for (p, poly) in acc.polys().enumerate() {
-                    self.decomp.decompose_polynomial_levels(
-                        poly,
-                        &mut all_digits[p * level * n..(p + 1) * level * n],
-                        decomp_state,
-                    );
-                }
-            });
-            probe.time(PbsStage::Fft, || {
-                self.fft
-                    .forward_i64_many(all_digits, &mut digit_batch[j])
-                    // lint:allow(panic) shape invariant established at construction
-                    .expect("digit batch matches the fft plan");
-            });
         }
 
         // Stage 3b: VMA, job-major. Unlike the classical kernel — whose
@@ -1366,7 +940,7 @@ impl MultiBitBootstrapKey {
                 let (d_re_plane, d_im_plane) = digit_batch[j].planes();
                 let (k_re_plane, k_im_plane) = comb_batch[j].planes();
                 let (a_re_plane, a_im_plane) = acc_batch[j].planes_mut();
-                for r in 0..rows {
+                for r in 0..key_rows {
                     let d_re = &d_re_plane[r * half..(r + 1) * half];
                     let d_im = &d_im_plane[r * half..(r + 1) * half];
                     for col in 0..cols {
@@ -1381,115 +955,21 @@ impl MultiBitBootstrapKey {
             }
         });
 
-        // Stage 4: batched inverse, fused torus conversion, *replacing*
-        // the accumulator.
+        // Stage 4: batched inverse, *replacing* the accumulator.
         for (j, acc) in accs.iter_mut().enumerate() {
-            if !active[j] {
-                continue;
+            if active[j] {
+                self.drain(&mut acc_batch[j], time_batch, acc, |_, v| v, probe);
             }
-            probe.time(PbsStage::IfftAccumulate, || {
-                self.fft
-                    .backward_f64_many(&mut acc_batch[j], time_batch)
-                    // lint:allow(panic) shape invariant established at construction
-                    .expect("accumulator batch matches the fft plan");
-                for (col, time) in time_batch.chunks_exact(n).enumerate() {
-                    // lint:allow(panic) shape invariant established at construction
-                    let poly = acc.poly_mut(col).expect("column within GLWE dimension");
-                    for (o, &v) in poly.coeffs_mut().iter_mut().zip(time) {
-                        *o = f64_to_torus(v);
-                    }
-                }
-            });
         }
     }
     // lint:hot-path-end
+}
 
-    /// Batched multi-bit programmable bootstrap: grouped blind rotation
-    /// followed by per-job sample extraction, in job order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
-    pub fn bootstrap_batch(&self, jobs: &[PbsJob<'_>]) -> Result<Vec<LweCiphertext>, TfheError> {
-        Ok(self.blind_rotate_batch(jobs)?.iter().map(GlweCiphertext::sample_extract).collect())
-    }
-
-    /// As [`Self::bootstrap_batch`] with per-stage timing
-    /// instrumentation over the production grouped path — the same
-    /// kernel the un-instrumented batch runs, observed through a
-    /// timing probe (combined-GGSW assembly and the VMA both account
-    /// to [`PbsStage::VectorMultiply`]; monomial-degree computation to
-    /// [`PbsStage::ModSwitch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on any shape mismatch.
-    pub fn bootstrap_batch_profiled(
-        &self,
-        jobs: &[PbsJob<'_>],
-        timings: &mut StageTimings,
-    ) -> Result<Vec<LweCiphertext>, TfheError> {
-        let mut scratch = self.scratch();
-        let mut probe = TimingProbe(timings);
-        let accs = self.blind_rotate_batch_core(jobs, &mut scratch, &mut probe)?;
-        Ok(probe.time(PbsStage::SampleExtract, || {
-            accs.iter().map(GlweCiphertext::sample_extract).collect()
-        }))
-    }
-
-    /// Parallel multi-bit epoch execution: contiguous balanced shards,
-    /// one scratch per worker, results in job order — the same
-    /// scheduling contract as [`BootstrapKey::bootstrap_batch_parallel`]
-    /// and bit-identical to the sequential [`Self::bootstrap_batch`].
-    ///
-    /// `threads` is clamped to `[1, jobs.len()]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] if any job's shape
-    /// disagrees with the key (validated before any thread spawns).
-    pub fn bootstrap_batch_parallel(
-        &self,
-        jobs: &[PbsJob<'_>],
-        threads: usize,
-    ) -> Result<Vec<LweCiphertext>, TfheError> {
-        for job in jobs {
-            self.check_shape(job.ct, job.lut)?;
-        }
-        let threads = threads.max(1).min(jobs.len());
-        if threads <= 1 {
-            return self.bootstrap_batch(jobs);
-        }
-        let base = jobs.len() / threads;
-        let extra = jobs.len() % threads;
-        let shards: Vec<Result<Vec<LweCiphertext>, TfheError>> = std::thread::scope(|scope| {
-            let mut start = 0;
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    let len = base + usize::from(i < extra);
-                    let shard = &jobs[start..start + len];
-                    start += len;
-                    scope.spawn(move || self.bootstrap_batch(shard))
-                })
-                .collect();
-            // lint:allow(panic) a worker panic is propagated, not swallowed
-            handles.into_iter().map(|h| h.join().expect("PBS shard worker panicked")).collect()
-        });
-        let mut out = Vec::with_capacity(jobs.len());
-        for shard in shards {
-            out.extend(shard?);
-        }
-        Ok(out)
-    }
-
-    /// Full multi-bit programmable bootstrap of a single ciphertext.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
-    pub fn bootstrap(&self, ct: &LweCiphertext, lut: &Lut) -> Result<LweCiphertext, TfheError> {
-        Ok(self.blind_rotate(ct, lut)?.sample_extract())
-    }
+/// The negacyclic transform plan for `params`.
+fn plan(params: &TfheParameters) -> NegacyclicFft {
+    NegacyclicFft::with_backend(params.polynomial_size, params.fft_backend)
+        // lint:allow(panic) parameters were validated at construction
+        .expect("validated parameters have power-of-two N and an available backend")
 }
 
 /// Encodes a boolean as `±1/8` on the torus (gate-bootstrapping
@@ -1545,7 +1025,8 @@ mod tests {
         let glwe_sk =
             GlweSecretKey::generate(params.glwe_dimension, params.polynomial_size, &mut rng);
         let extracted = glwe_sk.to_extracted_lwe_key();
-        let bsk = BootstrapKey::generate(&lwe_sk, &glwe_sk, &params, &mut rng);
+        let bsk =
+            BootstrapKey::generate(&lwe_sk, &glwe_sk, &params, PbsKernel::Classical, &mut rng);
         Fixture { params, lwe_sk, glwe_sk, extracted, bsk, rng }
     }
 
@@ -1621,7 +1102,7 @@ mod tests {
         let fx = &mut fixture(TfheParameters::testing_fast());
         let ct = fx.lwe_sk.encrypt(encode_bool(true), fx.params.lwe_noise_std, &mut fx.rng);
         let lut = Lut::sign(fx.params.polynomial_size, encode_fraction(1, 3));
-        let acc = fx.bsk.blind_rotate(&ct, &lut).unwrap();
+        let acc = crate::reference::blind_rotate(&fx.bsk, &ct, &lut).unwrap();
         let phase = fx.glwe_sk.decrypt_phase(&acc).unwrap();
         assert!(decode_bool(phase[0]));
     }
@@ -1631,10 +1112,10 @@ mod tests {
         let fx = &mut fixture(TfheParameters::testing_fast());
         let lut = Lut::sign(fx.params.polynomial_size, encode_fraction(1, 3));
         let wrong = LweCiphertext::trivial(10, 0);
-        assert!(fx.bsk.blind_rotate(&wrong, &lut).is_err());
+        assert!(fx.bsk.bootstrap(&wrong, &lut).is_err());
         let wrong_lut = Lut::sign(fx.params.polynomial_size * 2, 1);
         let ct = LweCiphertext::trivial(fx.params.lwe_dimension, 0);
-        assert!(fx.bsk.blind_rotate(&ct, &wrong_lut).is_err());
+        assert!(fx.bsk.bootstrap(&ct, &wrong_lut).is_err());
     }
 
     #[test]
@@ -1643,7 +1124,7 @@ mod tests {
         let ct = fx.lwe_sk.encrypt(encode_bool(true), fx.params.lwe_noise_std, &mut fx.rng);
         let lut = Lut::sign(fx.params.polynomial_size, encode_fraction(1, 3));
         let mut t = StageTimings::new();
-        let _ = fx.bsk.bootstrap_profiled(&ct, &lut, &mut t).unwrap();
+        let _ = fx.bsk.bootstrap_batch_profiled(&[PbsJob { ct: &ct, lut: &lut }], &mut t).unwrap();
         // The paper reports ~98% of PBS inside the blind rotation; even
         // at toy sizes it must clearly dominate.
         assert!(t.blind_rotation_fraction() > 0.8, "{}", t.blind_rotation_fraction());
@@ -1679,7 +1160,7 @@ mod tests {
             .enumerate()
             .map(|(i, ct)| PbsJob { ct, lut: if i % 2 == 0 { &lut_id } else { &lut_sq } })
             .collect();
-        let batched = fx.bsk.bootstrap_batch(&jobs).unwrap();
+        let batched = fx.bsk.bootstrap_batch(&jobs, 1).unwrap();
         for (job, out) in jobs.iter().zip(&batched) {
             let single = fx.bsk.bootstrap(job.ct, job.lut).unwrap();
             assert_eq!(out, &single);
@@ -1709,15 +1190,15 @@ mod tests {
             .enumerate()
             .map(|(i, ct)| PbsJob { ct, lut: if i % 2 == 0 { &lut_id } else { &lut_sq } })
             .collect();
-        let sequential = fx.bsk.bootstrap_batch(&jobs).unwrap();
+        let sequential = fx.bsk.bootstrap_batch(&jobs, 1).unwrap();
         for threads in 1..=8 {
-            let parallel = fx.bsk.bootstrap_batch_parallel(&jobs, threads).unwrap();
+            let parallel = fx.bsk.bootstrap_batch(&jobs, threads).unwrap();
             assert_eq!(parallel, sequential, "threads={threads}");
         }
         // Degenerate thread counts are clamped, not errors.
-        assert_eq!(fx.bsk.bootstrap_batch_parallel(&jobs, 0).unwrap(), sequential);
-        assert_eq!(fx.bsk.bootstrap_batch_parallel(&jobs, 100).unwrap(), sequential);
-        assert!(fx.bsk.bootstrap_batch_parallel(&[], 4).unwrap().is_empty());
+        assert_eq!(fx.bsk.bootstrap_batch(&jobs, 0).unwrap(), sequential);
+        assert_eq!(fx.bsk.bootstrap_batch(&jobs, 100).unwrap(), sequential);
+        assert!(fx.bsk.bootstrap_batch(&[], 4).unwrap().is_empty());
     }
 
     #[test]
@@ -1727,7 +1208,7 @@ mod tests {
         let good = LweCiphertext::trivial(fx.params.lwe_dimension, 0);
         let bad = LweCiphertext::trivial(10, 0);
         let jobs = [PbsJob { ct: &good, lut: &lut }, PbsJob { ct: &bad, lut: &lut }];
-        assert!(fx.bsk.bootstrap_batch_parallel(&jobs, 2).is_err());
+        assert!(fx.bsk.bootstrap_batch(&jobs, 2).is_err());
     }
 
     #[test]
@@ -1737,9 +1218,9 @@ mod tests {
         let mut scratch = fx.bsk.scratch();
         for b in [true, false, true] {
             let ct = fx.lwe_sk.encrypt(encode_bool(b), fx.params.lwe_noise_std, &mut fx.rng);
-            let fresh = fx.bsk.blind_rotate(&ct, &lut).unwrap();
-            let reused = fx.bsk.blind_rotate_with(&ct, &lut, &mut scratch).unwrap();
-            assert_eq!(reused, fresh);
+            let fresh = fx.bsk.bootstrap(&ct, &lut).unwrap();
+            let reused = fx.bsk.run(&[PbsJob { ct: &ct, lut: &lut }], &mut scratch, &mut NoProbe);
+            assert_eq!(reused, [fresh]);
         }
     }
 
@@ -1749,12 +1230,13 @@ mod tests {
         let fx = &mut fixture(TfheParameters::testing_fast());
         let lut = Lut::sign(fx.params.polynomial_size, encode_fraction(1, 3));
         let ct = LweCiphertext::trivial(fx.params.lwe_dimension, 0);
-        let mut wrong = crate::scratch::PbsScratch::new(
+        let mut wrong = PbsScratch::new(
             fx.params.glwe_dimension,
             fx.params.polynomial_size * 2,
             fx.bsk.decomposition(),
+            PbsKernel::Classical,
         );
-        let _ = fx.bsk.blind_rotate_with(&ct, &lut, &mut wrong);
+        let _ = fx.bsk.run(&[PbsJob { ct: &ct, lut: &lut }], &mut wrong, &mut NoProbe);
     }
 
     #[test]
@@ -1764,14 +1246,14 @@ mod tests {
         let good = LweCiphertext::trivial(fx.params.lwe_dimension, 0);
         let bad = LweCiphertext::trivial(10, 0);
         let jobs = [PbsJob { ct: &good, lut: &lut }, PbsJob { ct: &bad, lut: &lut }];
-        assert!(fx.bsk.bootstrap_batch(&jobs).is_err());
-        assert!(fx.bsk.bootstrap_batch(&[]).unwrap().is_empty());
+        assert!(fx.bsk.bootstrap_batch(&jobs, 1).is_err());
+        assert!(fx.bsk.bootstrap_batch(&[], 1).unwrap().is_empty());
     }
 
     #[test]
     fn benchmark_key_has_real_key_shape_and_runs() {
         let params = TfheParameters::testing_fast();
-        let bsk = BootstrapKey::generate_for_benchmark(&params);
+        let bsk = BootstrapKey::generate_for_benchmark(&params, PbsKernel::Classical);
         assert_eq!(bsk.input_dimension(), params.lwe_dimension);
         assert_eq!(bsk.byte_size(), params.bootstrap_key_bytes());
         // PBS must execute (timing-equivalent arithmetic), whatever the
@@ -1782,8 +1264,9 @@ mod tests {
         assert_eq!(out.dimension(), bsk.output_dimension());
     }
 
-    fn multi_bit_key(fx: &mut Fixture, g: usize) -> MultiBitBootstrapKey {
-        MultiBitBootstrapKey::generate(&fx.lwe_sk, &fx.glwe_sk, &fx.params, g, &mut fx.rng)
+    fn multi_bit_key(fx: &mut Fixture, g: usize) -> BootstrapKey {
+        let kernel = PbsKernel::MultiBit { grouping_factor: g };
+        BootstrapKey::generate(&fx.lwe_sk, &fx.glwe_sk, &fx.params, kernel, &mut fx.rng)
     }
 
     #[test]
@@ -1792,8 +1275,7 @@ mod tests {
         let fx = &mut fixture(params.clone());
         for g in [2usize, 3] {
             let mbsk = multi_bit_key(fx, g);
-            assert_eq!(mbsk.grouping_factor(), g);
-            assert_eq!(mbsk.group_count(), params.multi_bit_group_count(g));
+            assert_eq!(mbsk.kernel(), PbsKernel::MultiBit { grouping_factor: g });
             assert_eq!(mbsk.byte_size(), params.multi_bit_bootstrap_key_bytes(g), "g={g}");
             assert_eq!(mbsk.input_dimension(), params.lwe_dimension);
             assert_eq!(mbsk.output_dimension(), params.extracted_lwe_dimension());
@@ -1831,8 +1313,8 @@ mod tests {
         let mbsk = multi_bit_key(fx, 2);
         let lut = Lut::sign(fx.params.polynomial_size, encode_fraction(1, 3));
         let ct = LweCiphertext::trivial(fx.params.lwe_dimension, 0);
-        let grouped = mbsk.blind_rotate(&ct, &lut).unwrap();
-        let classical = fx.bsk.blind_rotate(&ct, &lut).unwrap();
+        let grouped = mbsk.bootstrap(&ct, &lut).unwrap();
+        let classical = fx.bsk.bootstrap(&ct, &lut).unwrap();
         assert_eq!(grouped, classical);
     }
 
@@ -1848,7 +1330,7 @@ mod tests {
             })
             .collect();
         let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &lut }).collect();
-        let batched = mbsk.bootstrap_batch(&jobs).unwrap();
+        let batched = mbsk.bootstrap_batch(&jobs, 1).unwrap();
         for (job, out) in jobs.iter().zip(&batched) {
             assert_eq!(out, &mbsk.bootstrap(job.ct, job.lut).unwrap());
         }
@@ -1860,10 +1342,10 @@ mod tests {
         let mbsk = multi_bit_key(fx, 2);
         let lut = Lut::sign(fx.params.polynomial_size, encode_fraction(1, 3));
         let wrong = LweCiphertext::trivial(10, 0);
-        assert!(mbsk.blind_rotate(&wrong, &lut).is_err());
+        assert!(mbsk.bootstrap(&wrong, &lut).is_err());
         let wrong_lut = Lut::sign(fx.params.polynomial_size * 2, 1);
         let ct = LweCiphertext::trivial(fx.params.lwe_dimension, 0);
-        assert!(mbsk.blind_rotate(&ct, &wrong_lut).is_err());
+        assert!(mbsk.bootstrap(&ct, &wrong_lut).is_err());
     }
 
     #[test]
@@ -1873,20 +1355,21 @@ mod tests {
         let mbsk = multi_bit_key(fx, 2);
         let lut = Lut::sign(fx.params.polynomial_size, encode_fraction(1, 3));
         let ct = LweCiphertext::trivial(fx.params.lwe_dimension, 0);
-        let mut wrong = crate::scratch::MultiBitPbsScratch::new(
+        let mut wrong = PbsScratch::new(
             fx.params.glwe_dimension,
             fx.params.polynomial_size,
             mbsk.decomposition(),
-            3,
+            PbsKernel::MultiBit { grouping_factor: 3 },
         );
-        let _ = mbsk.blind_rotate_with(&ct, &lut, &mut wrong);
+        let _ = mbsk.run(&[PbsJob { ct: &ct, lut: &lut }], &mut wrong, &mut NoProbe);
     }
 
     #[test]
     fn multi_bit_benchmark_key_has_real_shape_and_runs() {
         let params = TfheParameters::testing_fast();
         for g in [2usize, 3] {
-            let mbsk = MultiBitBootstrapKey::generate_for_benchmark(&params, g);
+            let kernel = PbsKernel::MultiBit { grouping_factor: g };
+            let mbsk = BootstrapKey::generate_for_benchmark(&params, kernel);
             assert_eq!(mbsk.byte_size(), params.multi_bit_bootstrap_key_bytes(g), "g={g}");
             let ct = LweCiphertext::trivial(params.lwe_dimension, encode_bool(true));
             let lut = Lut::sign(params.polynomial_size, encode_fraction(1, 3));

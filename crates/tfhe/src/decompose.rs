@@ -156,8 +156,8 @@ impl DecompositionParams {
     /// As [`Self::decompose_polynomial`], writing into a flat
     /// caller-provided buffer of `level · N` digits (level-major:
     /// `levels[lvl·N + j]` is digit `lvl` of coefficient `j`). This is
-    /// the allocation-free form the blind-rotation hot path uses with a
-    /// per-thread [`crate::scratch::PbsScratch`].
+    /// the allocation-free form the blind-rotation hot path uses with
+    /// its per-thread scratch (see [`crate::scratch`]).
     ///
     /// # Panics
     ///

@@ -7,23 +7,18 @@
 //! transform the digit polynomials, multiply–accumulate against the
 //! Fourier-domain key rows, and transform back.
 //!
-//! Two evaluation paths are provided:
-//!
-//! * [`FourierGgsw::external_product`] — the FFT path used in production
-//!   and modelled by the Strix PBS cluster (decomposer → FFT → VMA →
-//!   IFFT → accumulator),
-//! * [`GgswCiphertext::external_product_exact`] — an exact integer path
-//!   used as the correctness oracle in tests.
+//! Production external products run inside the blocked CMUX driver of
+//! [`crate::bootstrap::BootstrapKey`] (decomposer → FFT → VMA → IFFT →
+//! accumulator, the Strix PBS cluster's dataflow). Two oracles check
+//! it: the per-job FFT external product in [`crate::reference`], and
+//! [`GgswCiphertext::external_product_exact`], an exact integer path.
 
-use strix_fft::{Complex64, NegacyclicFft, SoaSpectrum};
+use strix_fft::{NegacyclicFft, SoaSpectrum};
 
 use crate::decompose::DecompositionParams;
 use crate::glwe::{GlweCiphertext, GlweSecretKey};
 use crate::poly::TorusPolynomial;
-use crate::profiler::{NoProbe, PbsStage, Probe, StageTimings, TimingProbe};
 use crate::rng::NoiseSampler;
-use crate::scratch::ExternalProductScratch;
-use crate::torus::{f64_to_torus, torus_to_f64_signed};
 
 /// A GGSW ciphertext in the standard (time) domain: `(k+1)·l` GLWE rows.
 ///
@@ -198,36 +193,34 @@ impl GgswCiphertext {
         acc
     }
 
-    /// Converts to the Fourier domain for use in blind rotation. The
+    /// Converts to the Fourier domain for use in blind rotation: all
+    /// `(k+1)·l · (k+1)` polynomials go through one batched transform.
+    /// Each torus coefficient enters as its signed representative
+    /// ([`crate::torus::torus_to_f64_signed`], i.e. `c as i64`). The
     /// resulting spectra are in `fft`'s digit-reversed slot order —
     /// globally consistent with every other spectrum produced under
     /// the same plan, which is the only way they are ever consumed —
     /// and are stored **split** (structure-of-arrays): one real plane
     /// and one imaginary plane per `(row, column)` polynomial, the
-    /// layout the SIMD-friendly VMA kernels stream. The plane values
-    /// are bit-for-bit the transform outputs, so both the split and
-    /// the interleaved CMUX paths consume the same key bits.
+    /// layout the SIMD-friendly VMA kernels stream.
     ///
     /// # Panics
     ///
     /// Panics if `fft.poly_size()` differs from the ciphertext's.
     pub fn to_fourier(&self, fft: &NegacyclicFft) -> FourierGgsw {
         let k = self.glwe_dimension;
-        let half = fft.fourier_size();
-        let mut spectra = SoaSpectrum::new(self.rows.len() * (k + 1), half);
-        let mut spec = vec![Complex64::ZERO; half];
-        let mut signed = vec![0.0f64; fft.poly_size()];
-        for (r, row) in self.rows.iter().enumerate() {
-            for (col, poly) in row.polys().enumerate() {
-                for (s, &c) in signed.iter_mut().zip(poly.coeffs()) {
-                    *s = torus_to_f64_signed(c);
-                }
-                fft.forward_f64(&signed, &mut spec)
-                    // lint:allow(panic) shape invariant established at construction
-                    .expect("ggsw polynomial size must match the fft plan");
-                spectra.store(r * (k + 1) + col, &spec);
-            }
-        }
+        // Row-major, then column: polynomial `(r, col)` is transform
+        // `r·(k+1) + col`.
+        let signed: Vec<i64> = self
+            .rows
+            .iter()
+            .flat_map(GlweCiphertext::polys)
+            .flat_map(|poly| poly.coeffs().iter().map(|&c| c as i64))
+            .collect();
+        let mut spectra = SoaSpectrum::new(self.rows.len() * (k + 1), fft.fourier_size());
+        fft.forward_i64_many(&signed, &mut spectra)
+            // lint:allow(panic) shape invariant established at construction
+            .expect("ggsw polynomial size must match the fft plan");
         FourierGgsw { spectra, decomp: self.decomp, glwe_dimension: k }
     }
 }
@@ -259,9 +252,8 @@ fn draw_crs_masks(k: usize, n: usize, crs: &mut NoiseSampler) -> Vec<TorusPolyno
 /// Storage is **split-complex** ([`SoaSpectrum`]): all `(k+1)·l·(k+1)`
 /// polynomials live in two contiguous `f64` planes (real, imaginary),
 /// row-major then column. This is the layout the blocked CMUX's
-/// four-array VMA streams directly; the interleaved oracle path reads
-/// the same planes through [`NegacyclicFft::pointwise_mul_add_key`], so both paths
-/// consume identical key bits.
+/// four-array VMA streams directly, and the reference CMUX
+/// ([`crate::reference`]) reads the same planes.
 #[derive(Clone, Debug)]
 pub struct FourierGgsw {
     /// Transform `row·(k+1) + col` holds the spectrum of row `row`
@@ -301,7 +293,7 @@ impl FourierGgsw {
     /// the multi-bit kernel streams when it MACs whole pattern entries
     /// into a combined GGSW.
     #[inline]
-    pub(crate) fn spectra(&self) -> &SoaSpectrum {
+    pub fn spectra(&self) -> &SoaSpectrum {
         &self.spectra
     }
 
@@ -310,132 +302,16 @@ impl FourierGgsw {
     pub fn byte_size(&self) -> usize {
         self.spectra.byte_size()
     }
-
-    /// External product via the FFT (the interleaved per-job path):
-    /// `self ⊡ glwe ≈ GLWE(m · phase(glwe))`. Allocates its own
-    /// scratch; loops should use [`Self::external_product_scratch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes mismatch (the bootstrap key constructor
-    /// guarantees compatibility).
-    pub fn external_product(&self, glwe: &GlweCiphertext, fft: &NegacyclicFft) -> GlweCiphertext {
-        let mut scratch =
-            ExternalProductScratch::new(self.glwe_dimension, glwe.poly_size(), self.decomp);
-        let mut out = GlweCiphertext::zero(self.glwe_dimension, glwe.poly_size());
-        self.external_product_scratch(glwe, fft, &mut out, &mut scratch);
-        out
-    }
-
-    /// External product with per-stage timing instrumentation, used by
-    /// the Figure-1 workload-breakdown harness. Same implementation as
-    /// the production path, observed through a timing probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes mismatch.
-    pub fn external_product_profiled(
-        &self,
-        glwe: &GlweCiphertext,
-        fft: &NegacyclicFft,
-        timings: &mut StageTimings,
-    ) -> GlweCiphertext {
-        let mut scratch =
-            ExternalProductScratch::new(self.glwe_dimension, glwe.poly_size(), self.decomp);
-        let mut out = GlweCiphertext::zero(self.glwe_dimension, glwe.poly_size());
-        self.external_product_probed(glwe, fft, &mut out, &mut scratch, &mut TimingProbe(timings));
-        out
-    }
-
-    /// Allocation-free external product writing into `out` using
-    /// caller-provided scratch — the per-job oracle form driven by the
-    /// scratch-based single blind rotation (the blocked batch path
-    /// re-schedules the same arithmetic across jobs; this one is the
-    /// bit-identity reference). Bit-identical to
-    /// [`Self::external_product`]: same decompositions, same transform
-    /// and multiply order, same rounding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `glwe`, `out`, `fft` or `scratch` disagree with the
-    /// key's shape (the bootstrap key constructor and
-    /// [`crate::scratch::PbsScratch`] guarantee compatibility).
-    pub fn external_product_scratch(
-        &self,
-        glwe: &GlweCiphertext,
-        fft: &NegacyclicFft,
-        out: &mut GlweCiphertext,
-        scratch: &mut ExternalProductScratch,
-    ) {
-        self.external_product_probed(glwe, fft, out, scratch, &mut NoProbe);
-    }
-
-    /// The single implementation behind every per-job external-product
-    /// entry point, generic over a [`Probe`] so the profiled and
-    /// production paths cannot drift.
-    pub(crate) fn external_product_probed<P: Probe>(
-        &self,
-        glwe: &GlweCiphertext,
-        fft: &NegacyclicFft,
-        out: &mut GlweCiphertext,
-        scratch: &mut ExternalProductScratch,
-        probe: &mut P,
-    ) {
-        let k = self.glwe_dimension;
-        assert_eq!(glwe.dimension(), k, "glwe dimension mismatch");
-        assert_eq!(out.dimension(), k, "output glwe dimension mismatch");
-        let n = glwe.poly_size();
-        assert_eq!(out.poly_size(), n, "output polynomial size mismatch");
-        assert_eq!(fft.poly_size(), n, "fft plan size mismatch");
-        let level = self.decomp.level;
-        scratch.check_shape(k, n, level);
-        let half = fft.fourier_size();
-
-        scratch.fourier_acc.fill(Complex64::ZERO);
-        let mut row_idx = 0;
-        for poly in glwe.polys() {
-            probe.time(PbsStage::Decompose, || {
-                self.decomp.decompose_polynomial_levels(
-                    poly,
-                    &mut scratch.digit_levels,
-                    &mut scratch.decomp_state,
-                );
-            });
-            for lvl in 0..level {
-                probe.time(PbsStage::Fft, || {
-                    let digits = &scratch.digit_levels[lvl * n..(lvl + 1) * n];
-                    fft.forward_i64(digits, &mut scratch.digit_spec)
-                        // lint:allow(panic) shape invariant established at construction
-                        .expect("digit polynomial matches fft plan");
-                });
-                probe.time(PbsStage::VectorMultiply, || {
-                    for (col, acc_col) in scratch.fourier_acc.chunks_mut(half).enumerate() {
-                        let (key_re, key_im) = self.row_col(row_idx, col);
-                        fft.pointwise_mul_add_key(acc_col, &scratch.digit_spec, key_re, key_im);
-                    }
-                });
-                row_idx += 1;
-            }
-        }
-
-        probe.time(PbsStage::IfftAccumulate, || {
-            for (col, spec) in scratch.fourier_acc.chunks_mut(half).enumerate() {
-                fft.backward_f64(spec, &mut scratch.time_domain)
-                    // lint:allow(panic) shape invariant established at construction
-                    .expect("accumulator matches fft plan");
-                // lint:allow(panic) shape invariant established at construction
-                let poly = out.poly_mut(col).expect("column within GLWE dimension");
-                for (o, &v) in poly.coeffs_mut().iter_mut().zip(&scratch.time_domain) {
-                    *o = f64_to_torus(v);
-                }
-            }
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::{PbsStage, StageTimings};
+    use crate::reference::{
+        external_product, external_product_profiled, external_product_scratch,
+        ExternalProductScratch,
+    };
     use crate::torus::{decode_message, encode_fraction};
 
     const STD: f64 = 1.0e-12;
@@ -468,7 +344,7 @@ mod tests {
         let msg = test_message(fx.n);
         let ct = fx.glwe_sk.encrypt(&msg, STD, &mut fx.rng);
         let fourier = ggsw.to_fourier(&fx.fft);
-        let prod = fourier.external_product(&ct, &fx.fft);
+        let prod = external_product(&fourier, &ct, &fx.fft);
         let phase = fx.glwe_sk.decrypt_phase(&prod).unwrap();
         for (p, m) in phase.coeffs().iter().zip(msg.coeffs()) {
             assert_eq!(decode_message(*p, 4), decode_message(*m, 4));
@@ -482,7 +358,7 @@ mod tests {
         let msg = test_message(fx.n);
         let ct = fx.glwe_sk.encrypt(&msg, STD, &mut fx.rng);
         let fourier = ggsw.to_fourier(&fx.fft);
-        let prod = fourier.external_product(&ct, &fx.fft);
+        let prod = external_product(&fourier, &ct, &fx.fft);
         let phase = fx.glwe_sk.decrypt_phase(&prod).unwrap();
         for p in phase.coeffs() {
             assert_eq!(decode_message(*p, 4), 0);
@@ -496,7 +372,7 @@ mod tests {
         let msg = test_message(fx.n);
         let ct = fx.glwe_sk.encrypt(&msg, STD, &mut fx.rng);
         let exact = ggsw.external_product_exact(&ct);
-        let fourier = ggsw.to_fourier(&fx.fft).external_product(&ct, &fx.fft);
+        let fourier = external_product(&ggsw.to_fourier(&fx.fft), &ct, &fx.fft);
         // The two paths agree up to FFT rounding noise, far below the
         // decoding threshold used here.
         let pe = fx.glwe_sk.decrypt_phase(&exact).unwrap();
@@ -566,7 +442,7 @@ mod tests {
         let c2 = fx.glwe_sk.encrypt(&m2, STD, &mut fx.rng);
         let mut sum = c1.clone();
         sum.add_assign(&c2).unwrap();
-        let p_sum = ggsw.external_product(&sum, &fx.fft);
+        let p_sum = external_product(&ggsw, &sum, &fx.fft);
         let phase = fx.glwe_sk.decrypt_phase(&p_sum).unwrap();
         assert_eq!(decode_message(phase[0], 4), 3);
     }
@@ -592,7 +468,7 @@ mod tests {
         let trivial = GgswCiphertext::trivial(1, 1, 64, fx.decomp).to_fourier(&fx.fft);
         let msg = test_message(fx.n);
         let ct = fx.glwe_sk.encrypt(&msg, STD, &mut fx.rng);
-        let prod = trivial.external_product(&ct, &fx.fft);
+        let prod = external_product(&trivial, &ct, &fx.fft);
         let phase = fx.glwe_sk.decrypt_phase(&prod).unwrap();
         for (p, m) in phase.coeffs().iter().zip(msg.coeffs()) {
             assert_eq!(decode_message(*p, 4), decode_message(*m, 4));
@@ -612,10 +488,10 @@ mod tests {
             for trial in 0..3 {
                 let msg = test_message(fx.n);
                 let ct = fx.glwe_sk.encrypt(&msg, STD, &mut fx.rng);
-                let alloc = ggsw.external_product(&ct, &fx.fft);
+                let alloc = external_product(&ggsw, &ct, &fx.fft);
                 // Same scratch reused across trials: stale state must
                 // not leak into the result.
-                ggsw.external_product_scratch(&ct, &fx.fft, &mut out, &mut scratch);
+                external_product_scratch(&ggsw, &ct, &fx.fft, &mut out, &mut scratch);
                 assert_eq!(out, alloc, "k={k} n={n} trial={trial}");
             }
         }
@@ -630,7 +506,7 @@ mod tests {
         let ct = fx.glwe_sk.encrypt(&test_message(fx.n), STD, &mut fx.rng);
         let mut out = GlweCiphertext::zero(1, 64);
         let mut wrong = ExternalProductScratch::new(2, 64, fx.decomp);
-        ggsw.external_product_scratch(&ct, &fx.fft, &mut out, &mut wrong);
+        external_product_scratch(&ggsw, &ct, &fx.fft, &mut out, &mut wrong);
     }
 
     #[test]
@@ -640,7 +516,7 @@ mod tests {
             .to_fourier(&fx.fft);
         let ct = fx.glwe_sk.encrypt(&test_message(fx.n), STD, &mut fx.rng);
         let mut t = StageTimings::default();
-        let _ = ggsw.external_product_profiled(&ct, &fx.fft, &mut t);
+        let _ = external_product_profiled(&ggsw, &ct, &fx.fft, &mut t);
         for stage in
             [PbsStage::Decompose, PbsStage::Fft, PbsStage::VectorMultiply, PbsStage::IfftAccumulate]
         {

@@ -7,13 +7,13 @@
 //! paper targets: the server — or the Strix accelerator — never sees a
 //! secret key.
 
-use crate::bootstrap::{BootstrapKey, MultiBitBootstrapKey};
+use crate::bootstrap::{entry_messages, BootstrapKey};
 use crate::decompose::DecompositionParams;
 use crate::ggsw::GgswCiphertext;
 use crate::glwe::GlweSecretKey;
 use crate::keyswitch::KeySwitchKey;
 use crate::lwe::{LweCiphertext, LweSecretKey};
-use crate::params::TfheParameters;
+use crate::params::{PbsKernel, TfheParameters};
 use crate::poly::TorusPolynomial;
 use crate::rng::{derive_seed, NoiseSampler};
 use crate::TfheError;
@@ -100,19 +100,14 @@ impl ClientKey {
     ///
     /// The classical bootstrapping key is always generated (it is the
     /// fallback every dispatch path can rely on); when the parameter
-    /// set selects [`PbsKernel::MultiBit`](crate::params::PbsKernel::MultiBit), the grouped multi-bit key
+    /// set selects [`PbsKernel::MultiBit`], the grouped multi-bit key
     /// is generated alongside it.
     pub fn server_key(&mut self) -> ServerKey {
-        let bsk = BootstrapKey::generate(&self.lwe_sk, &self.glwe_sk, &self.params, &mut self.rng);
-        let mbsk = self.params.pbs_kernel.grouping_factor().map(|g| {
-            MultiBitBootstrapKey::generate(
-                &self.lwe_sk,
-                &self.glwe_sk,
-                &self.params,
-                g,
-                &mut self.rng,
-            )
-        });
+        let (lwe_sk, glwe_sk, params) = (&self.lwe_sk, &self.glwe_sk, &self.params);
+        let bsk =
+            BootstrapKey::generate(lwe_sk, glwe_sk, params, PbsKernel::Classical, &mut self.rng);
+        let mbsk = multi_bit_kernel(params)
+            .map(|kernel| BootstrapKey::generate(lwe_sk, glwe_sk, params, kernel, &mut self.rng));
         let ksk =
             KeySwitchKey::generate(&self.extracted_sk, &self.lwe_sk, &self.params, &mut self.rng);
         ServerKey { params: self.params.clone(), bsk, mbsk, ksk }
@@ -127,50 +122,28 @@ impl ClientKey {
     pub fn seeded_server_key(&mut self, crs_seed: u64) -> SeededServerKey {
         let decomp = DecompositionParams::new(self.params.pbs_base_log, self.params.pbs_level);
         let noise_std = self.params.glwe_noise_std;
-        let mut crs = NoiseSampler::from_derived_seed(crs_seed, CRS_BSK_STREAM);
-        let bsk_bodies = self
-            .lwe_sk
-            .bits()
-            .iter()
-            .map(|&s| {
-                let ggsw = GgswCiphertext::encrypt_scalar_seeded(
-                    s,
-                    &self.glwe_sk,
-                    decomp,
-                    noise_std,
-                    &mut self.rng,
-                    &mut crs,
-                );
-                ggsw.rows().iter().map(|r| r.body().clone()).collect()
-            })
-            .collect();
-        let mbsk_bodies = self.params.pbs_kernel.grouping_factor().map(|g| {
-            let mut crs = NoiseSampler::from_derived_seed(crs_seed, CRS_MBSK_STREAM);
-            self.lwe_sk
-                .bits()
-                .chunks(g)
-                .map(|bits| {
-                    (0..1usize << bits.len())
-                        .map(|pattern| {
-                            let indicator: u64 = bits
-                                .iter()
-                                .enumerate()
-                                .map(|(t, &s)| if (pattern >> t) & 1 == 1 { s } else { 1 - s })
-                                .product();
-                            let ggsw = GgswCiphertext::encrypt_scalar_seeded(
-                                indicator,
-                                &self.glwe_sk,
-                                decomp,
-                                noise_std,
-                                &mut self.rng,
-                                &mut crs,
-                            );
-                            ggsw.rows().iter().map(|r| r.body().clone()).collect()
-                        })
-                        .collect()
+        // Body polynomials of every entry of a `kernel` key, masks drawn
+        // from the CRS sub-stream `stream`.
+        let mut seeded_bodies = |kernel: PbsKernel, stream: u64| {
+            let mut crs = NoiseSampler::from_derived_seed(crs_seed, stream);
+            entry_messages(self.lwe_sk.bits(), kernel)
+                .into_iter()
+                .map(|m| {
+                    let ggsw = GgswCiphertext::encrypt_scalar_seeded(
+                        m,
+                        &self.glwe_sk,
+                        decomp,
+                        noise_std,
+                        &mut self.rng,
+                        &mut crs,
+                    );
+                    ggsw.rows().iter().map(|r| r.body().clone()).collect()
                 })
-                .collect()
-        });
+                .collect::<Vec<Vec<TorusPolynomial>>>()
+        };
+        let bsk_bodies = seeded_bodies(PbsKernel::Classical, CRS_BSK_STREAM);
+        let mbsk_bodies =
+            multi_bit_kernel(&self.params).map(|kernel| seeded_bodies(kernel, CRS_MBSK_STREAM));
         let mut crs = NoiseSampler::from_derived_seed(crs_seed, CRS_KSK_STREAM);
         let ksk_bodies = KeySwitchKey::generate_seeded(
             &self.extracted_sk,
@@ -193,7 +166,7 @@ impl ClientKey {
 pub struct ServerKey {
     pub(crate) params: TfheParameters,
     pub(crate) bsk: BootstrapKey,
-    pub(crate) mbsk: Option<MultiBitBootstrapKey>,
+    pub(crate) mbsk: Option<BootstrapKey>,
     pub(crate) ksk: KeySwitchKey,
 }
 
@@ -210,12 +183,18 @@ impl ServerKey {
         &self.bsk
     }
 
-    /// The multi-bit bootstrapping key, present when the parameter set
-    /// was generated with a [`PbsKernel::MultiBit`](crate::params::PbsKernel::MultiBit) kernel. Dispatchers
-    /// that find `None` fall back to the classical kernel.
+    /// The bootstrapping key a dispatcher asking for `kernel` runs on:
+    /// the multi-bit key when `kernel` is [`PbsKernel::MultiBit`] and
+    /// this key was generated with multi-bit material (whatever grouping
+    /// factor `kernel` names — the key's own is in its
+    /// [`BootstrapKey::kernel`]), the classical key otherwise. The
+    /// classical key is the fallback every dispatch path can rely on.
     #[inline]
-    pub fn multi_bit_bootstrap_key(&self) -> Option<&MultiBitBootstrapKey> {
-        self.mbsk.as_ref()
+    pub fn bootstrap_key_for(&self, kernel: PbsKernel) -> &BootstrapKey {
+        match (kernel, &self.mbsk) {
+            (PbsKernel::MultiBit { .. }, Some(mbsk)) => mbsk,
+            _ => &self.bsk,
+        }
     }
 
     /// The keyswitching key.
@@ -237,7 +216,7 @@ impl ServerKey {
     /// gigabyte-scale keys.
     pub fn key_bytes(&self) -> usize {
         self.bsk.byte_size()
-            + self.mbsk.as_ref().map_or(0, MultiBitBootstrapKey::byte_size)
+            + self.mbsk.as_ref().map_or(0, BootstrapKey::byte_size)
             + self.ksk.byte_size()
     }
 
@@ -254,11 +233,9 @@ impl ServerKey {
         // lint:allow(panic) documented constructor contract
         params.validate().expect("parameter set must be valid");
         let mut rng = NoiseSampler::from_seed(seed);
-        let bsk = BootstrapKey::generate_for_benchmark(params);
-        let mbsk = params
-            .pbs_kernel
-            .grouping_factor()
-            .map(|g| MultiBitBootstrapKey::generate_for_benchmark(params, g));
+        let bsk = BootstrapKey::generate_for_benchmark(params, PbsKernel::Classical);
+        let mbsk = multi_bit_kernel(params)
+            .map(|kernel| BootstrapKey::generate_for_benchmark(params, kernel));
         let glwe_sk =
             GlweSecretKey::generate(params.glwe_dimension, params.polynomial_size, &mut rng);
         let lwe_sk = LweSecretKey::generate(params.lwe_dimension, &mut rng);
@@ -294,8 +271,9 @@ enum SeededKeyPayload {
     Real {
         /// One entry per LWE secret bit; each holds `(k+1)·l` bodies.
         bsk_bodies: Vec<Vec<TorusPolynomial>>,
-        /// Group-major, then pattern entry, then row.
-        mbsk_bodies: Option<Vec<Vec<Vec<TorusPolynomial>>>>,
+        /// One entry per multi-bit key entry (group-major, then
+        /// pattern), each with `(k+1)·l` bodies.
+        mbsk_bodies: Option<Vec<Vec<TorusPolynomial>>>,
         /// One body element per keyswitching-key row.
         ksk_bodies: Vec<u64>,
     },
@@ -338,14 +316,19 @@ impl SeededServerKey {
         match &self.payload {
             SeededKeyPayload::Real { bsk_bodies, mbsk_bodies, ksk_bodies } => {
                 let mut crs = NoiseSampler::from_derived_seed(self.crs_seed, CRS_BSK_STREAM);
-                let bsk = BootstrapKey::from_seeded_parts(bsk_bodies, &self.params, &mut crs);
-                let mbsk = self.params.pbs_kernel.grouping_factor().and_then(|g| {
-                    mbsk_bodies.as_ref().map(|bodies| {
+                let bsk = BootstrapKey::from_seeded_parts(
+                    bsk_bodies,
+                    &self.params,
+                    PbsKernel::Classical,
+                    &mut crs,
+                );
+                let mbsk = multi_bit_kernel(&self.params).zip(mbsk_bodies.as_ref()).map(
+                    |(kernel, bodies)| {
                         let mut crs =
                             NoiseSampler::from_derived_seed(self.crs_seed, CRS_MBSK_STREAM);
-                        MultiBitBootstrapKey::from_seeded_parts(bodies, &self.params, g, &mut crs)
-                    })
-                });
+                        BootstrapKey::from_seeded_parts(bodies, &self.params, kernel, &mut crs)
+                    },
+                );
                 let mut crs = NoiseSampler::from_derived_seed(self.crs_seed, CRS_KSK_STREAM);
                 let ksk = KeySwitchKey::from_seeded_parts(
                     ksk_bodies,
@@ -373,18 +356,19 @@ impl SeededServerKey {
         match &self.payload {
             SeededKeyPayload::Real { bsk_bodies, mbsk_bodies, ksk_bodies } => {
                 let poly_bytes = self.params.polynomial_size * 8;
-                let bsk: usize = bsk_bodies.iter().map(|entry| entry.len() * poly_bytes).sum();
-                let mbsk: usize = mbsk_bodies.as_ref().map_or(0, |groups| {
-                    groups
-                        .iter()
-                        .flat_map(|entries| entries.iter().map(|entry| entry.len() * poly_bytes))
-                        .sum()
-                });
-                bsk + mbsk + ksk_bodies.len() * 8 + 8
+                let rows: usize =
+                    bsk_bodies.iter().chain(mbsk_bodies.iter().flatten()).map(Vec::len).sum();
+                rows * poly_bytes + ksk_bodies.len() * 8 + 8
             }
             SeededKeyPayload::Benchmark => self.params.seeded_server_key_bytes(),
         }
     }
+}
+
+/// The parameter set's kernel when it is multi-bit — the kernel of the
+/// second bootstrapping key a server key carries.
+fn multi_bit_kernel(params: &TfheParameters) -> Option<PbsKernel> {
+    params.pbs_kernel.grouping_factor().is_some().then_some(params.pbs_kernel)
 }
 
 /// Generates a `(ClientKey, ServerKey)` pair from a seed.
@@ -409,7 +393,6 @@ pub fn generate_keys(params: &TfheParameters, seed: u64) -> (ClientKey, ServerKe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::PbsKernel;
 
     #[test]
     fn generate_keys_produces_matching_dimensions() {
@@ -426,7 +409,8 @@ mod tests {
     fn key_bytes_matches_parameter_formulas() {
         let params = TfheParameters::testing_fast();
         let (_, server) = generate_keys(&params, 7);
-        assert!(server.multi_bit_bootstrap_key().is_none());
+        let fallback = server.bootstrap_key_for(PbsKernel::MultiBit { grouping_factor: 2 });
+        assert_eq!(fallback.kernel(), PbsKernel::Classical);
         assert_eq!(server.key_bytes(), params.bootstrap_key_bytes() + params.keyswitch_key_bytes());
     }
 
@@ -436,9 +420,9 @@ mod tests {
         let params =
             TfheParameters::testing_fast().with_kernel(PbsKernel::MultiBit { grouping_factor: g });
         let (_, server) = generate_keys(&params, 7);
-        let mbsk = server.multi_bit_bootstrap_key().expect("multi-bit kernel carries its key");
-        assert_eq!(mbsk.grouping_factor(), g);
-        assert_eq!(mbsk.group_count(), params.multi_bit_group_count(g));
+        let mbsk = server.bootstrap_key_for(params.pbs_kernel);
+        assert_eq!(mbsk.kernel(), PbsKernel::MultiBit { grouping_factor: g });
+        assert_eq!(mbsk.byte_size(), params.multi_bit_bootstrap_key_bytes(g));
         assert_eq!(
             server.key_bytes(),
             params.bootstrap_key_bytes()
@@ -454,7 +438,8 @@ mod tests {
         let params =
             TfheParameters::testing_fast().with_kernel(PbsKernel::MultiBit { grouping_factor: 3 });
         let server = ServerKey::generate_for_benchmark(&params, 5);
-        let mbsk = server.multi_bit_bootstrap_key().expect("benchmark key honours the kernel");
+        let mbsk = server.bootstrap_key_for(params.pbs_kernel);
+        assert_eq!(mbsk.kernel(), params.pbs_kernel, "benchmark key honours the kernel");
         assert_eq!(mbsk.byte_size(), params.multi_bit_bootstrap_key_bytes(3));
         let lut = crate::bootstrap::Lut::sign(params.polynomial_size, 1);
         let ct = LweCiphertext::trivial(params.lwe_dimension, 0);
@@ -507,8 +492,9 @@ mod tests {
             TfheParameters::testing_fast().with_kernel(PbsKernel::MultiBit { grouping_factor: 2 });
         let mut client = ClientKey::generate(&params, 22);
         let server = client.seeded_server_key(0xbeef).expand();
-        let mbsk = server.multi_bit_bootstrap_key().expect("multi-bit kernel carries its key");
-        assert_eq!(mbsk.group_count(), params.multi_bit_group_count(2));
+        let mbsk = server.bootstrap_key_for(params.pbs_kernel);
+        assert_eq!(mbsk.kernel(), params.pbs_kernel, "multi-bit kernel carries its key");
+        assert_eq!(mbsk.byte_size(), params.multi_bit_bootstrap_key_bytes(2));
         let a = client.encrypt_bool(false);
         let b = client.encrypt_bool(true);
         let c = server.nand(&a, &b).unwrap();

@@ -173,7 +173,7 @@ impl KeySwitchKey {
     /// worker (one digit buffer per shard), all sharing this key. The
     /// Algorithm-2 tail of an epoch thereby scales with the same
     /// thread budget as the blind rotation
-    /// ([`crate::bootstrap::BootstrapKey::bootstrap_batch_parallel`]).
+    /// ([`crate::bootstrap::BootstrapKey::bootstrap_batch`]).
     ///
     /// Results come back **in input order** and are **bit-identical**
     /// to the sequential path — each keyswitch depends only on its own

@@ -59,6 +59,7 @@ pub mod noise;
 pub mod params;
 pub mod poly;
 pub mod profiler;
+pub mod reference;
 pub mod rng;
 pub mod scratch;
 pub mod shortint;

@@ -4,31 +4,32 @@
 //! blind-rotation inner loop: the win comes from keeping its working
 //! set *resident* — streamed key material flows past a fixed set of
 //! on-chip buffers — rather than re-materialising state per operation.
-//! The software analogue is [`PbsScratch`]: one allocation up front,
-//! zero heap traffic afterwards. Every CMUX iteration of
-//! [`crate::bootstrap::BootstrapKey`] then reuses
+//! The software analogue is the crate-private `PbsScratch`: one
+//! allocation up front, zero heap traffic afterwards. Every blocked
+//! CMUX step of [`crate::bootstrap::BootstrapKey`]'s driver reuses
 //!
-//! * an extraction-state buffer and a level-major digit-polynomial
-//!   buffer for the lane-parallel gadget decomposition (decomposer
-//!   unit),
-//! * one Fourier spectrum for the transformed digits and `k+1` fused
-//!   accumulator spectra (FFT + VMA units),
-//! * a time-domain buffer for the inverse transform (IFFT unit),
-//! * two GLWE-shaped buffers for the rotate-and-subtract difference and
-//!   the external-product output (rotator + accumulator units),
-//! * the blocked-CMUX staging set: per-job split-complex digit and
-//!   accumulator spectra for one block of [`CMUX_JOB_BLOCK`] jobs plus
-//!   a packed digit buffer and a batched inverse-transform buffer.
+//! * an extraction-state buffer and a packed digit buffer for the
+//!   lane-parallel gadget decomposition (decomposer unit),
+//! * per-job split-complex digit and accumulator spectra for one block
+//!   of [`CMUX_JOB_BLOCK`] jobs (FFT + VMA units),
+//! * a batched inverse-transform buffer (IFFT unit),
+//! * a GLWE-shaped buffer for the classical rotate-and-subtract
+//!   difference (rotator unit),
+//! * for a multi-bit key only, the combined-GGSW staging: one
+//!   key-entry-sized spectrum per job of a block, a monomial spectrum
+//!   and the per-pattern monomial degrees. A classical key's scratch
+//!   allocates none of it.
 //!
 //! Scratch is deliberately **not** shared between threads: a parallel
-//! epoch ([`crate::bootstrap::BootstrapKey::bootstrap_batch_parallel`])
-//! gives each worker its own `PbsScratch` while all workers share one
-//! `&BootstrapKey`.
+//! epoch ([`crate::bootstrap::BootstrapKey::bootstrap_batch`] with
+//! `threads > 1`) gives each worker its own scratch while all workers
+//! share one `&BootstrapKey`.
 
-use strix_fft::{Complex64, SoaSpectrum};
+use strix_fft::SoaSpectrum;
 
 use crate::decompose::DecompositionParams;
 use crate::glwe::GlweCiphertext;
+use crate::params::PbsKernel;
 
 /// Number of accumulators the blocked CMUX processes per bootstrapping
 /// key entry before moving to the next block (the job-blocking factor
@@ -45,75 +46,14 @@ use crate::glwe::GlweCiphertext;
 /// block size, so this is purely a locality knob.
 pub const CMUX_JOB_BLOCK: usize = 4;
 
-/// Scratch for one FFT-path external product (decompose → FFT → VMA →
-/// IFFT), owned by exactly one thread.
+/// Per-thread reusable working memory for one bootstrapping key's
+/// blocked CMUX driver, sized to the key's shape and kernel.
 #[derive(Clone, Debug)]
-pub struct ExternalProductScratch {
-    /// Lane-parallel decomposition state (`N` extraction words) for
-    /// the level-major decomposition pass.
-    pub(crate) decomp_state: Vec<u64>,
-    /// Level-major decomposed digit polynomials (`l · N`).
-    pub(crate) digit_levels: Vec<i64>,
-    /// Spectrum of the current digit polynomial (`N/2`), in the
-    /// transform plan's digit-reversed slot order.
-    pub(crate) digit_spec: Vec<Complex64>,
-    /// Fused accumulator spectra, column-major (`(k+1) · N/2`), in the
-    /// same slot order — pointwise accumulation never reorders.
-    pub(crate) fourier_acc: Vec<Complex64>,
-    /// Inverse-transform output buffer (`N`).
-    pub(crate) time_domain: Vec<f64>,
-    glwe_dimension: usize,
-    poly_size: usize,
-    level: usize,
-}
-
-impl ExternalProductScratch {
-    /// Allocates scratch for external products of shape `(k, N, l)`.
-    pub fn new(glwe_dimension: usize, poly_size: usize, decomp: DecompositionParams) -> Self {
-        let half = poly_size / 2;
-        Self {
-            decomp_state: vec![0u64; poly_size],
-            digit_levels: vec![0i64; decomp.level * poly_size],
-            digit_spec: vec![Complex64::ZERO; half],
-            fourier_acc: vec![Complex64::ZERO; (glwe_dimension + 1) * half],
-            time_domain: vec![0.0f64; poly_size],
-            glwe_dimension,
-            poly_size,
-            level: decomp.level,
-        }
-    }
-
-    /// Asserts this scratch matches the `(k, N, l)` shape of the
-    /// operation about to use it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any mismatch — mixing scratch between parameter sets
-    /// is a programming error, not a recoverable condition.
-    pub(crate) fn check_shape(&self, glwe_dimension: usize, poly_size: usize, level: usize) {
-        assert_eq!(self.glwe_dimension, glwe_dimension, "scratch glwe dimension mismatch");
-        assert_eq!(self.poly_size, poly_size, "scratch polynomial size mismatch");
-        assert_eq!(self.level, level, "scratch decomposition level mismatch");
-    }
-}
-
-/// Per-thread reusable working memory for programmable bootstrapping:
-/// the external-product scratch plus the two GLWE-shaped buffers of the
-/// CMUX (`diff = X^ã·acc − acc` and the external-product output).
-///
-/// Build one with [`crate::bootstrap::BootstrapKey::scratch`] (or
-/// [`Self::new`] from raw parameters), keep it alive for as many
-/// bootstraps as you like, and never share it across threads. With a
-/// scratch in hand the whole blind rotation performs no heap
-/// allocation inside the CMUX loop.
-#[derive(Clone, Debug)]
-pub struct PbsScratch {
-    /// Rotate-and-subtract difference buffer.
+pub(crate) struct PbsScratch {
+    /// Classical rotate-and-subtract difference `X^ã·acc − acc`.
     pub(crate) diff: GlweCiphertext,
-    /// External-product output buffer.
-    pub(crate) prod: GlweCiphertext,
-    /// Scratch for the external product itself.
-    pub(crate) ep: ExternalProductScratch,
+    /// Lane-parallel decomposition state (`N` extraction words).
+    pub(crate) decomp_state: Vec<u64>,
     /// One job's full digit decomposition, poly-major then level-major
     /// within each polynomial (`(k+1)·l · N` digits) — the packed
     /// input of the batched forward transform.
@@ -129,126 +69,76 @@ pub struct PbsScratch {
     /// Batched inverse-transform output (`(k+1) · N` reals), reused by
     /// every job of every block.
     pub(crate) time_batch: Vec<f64>,
+    /// Multi-bit only: per-job combined-GGSW spectra, `(k+1)·l · (k+1)`
+    /// transforms of `N/2` points each — one full key entry's worth
+    /// per job of a block, assembled fresh per group. Empty for a
+    /// classical key.
+    pub(crate) comb_batch: Vec<SoaSpectrum>,
+    /// Multi-bit only: monomial spectrum staging (real plane).
+    pub(crate) mono_re: Vec<f64>,
+    /// Multi-bit only: monomial spectrum staging (imaginary plane).
+    pub(crate) mono_im: Vec<f64>,
+    /// Multi-bit only: per-(job, pattern) monomial degrees for one
+    /// block ([`CMUX_JOB_BLOCK`] · `2^g` entries, pattern-minor).
+    pub(crate) degrees: Vec<usize>,
+    level: usize,
+    kernel: PbsKernel,
 }
 
 impl PbsScratch {
-    /// Allocates scratch for bootstraps of shape `(k, N, l)`.
-    pub fn new(glwe_dimension: usize, poly_size: usize, decomp: DecompositionParams) -> Self {
-        let half = poly_size / 2;
-        let cols = glwe_dimension + 1;
-        Self {
-            diff: GlweCiphertext::zero(glwe_dimension, poly_size),
-            prod: GlweCiphertext::zero(glwe_dimension, poly_size),
-            ep: ExternalProductScratch::new(glwe_dimension, poly_size, decomp),
-            all_digits: vec![0i64; cols * decomp.level * poly_size],
-            digit_batch: (0..CMUX_JOB_BLOCK)
-                .map(|_| SoaSpectrum::new(cols * decomp.level, half))
-                .collect(),
-            acc_batch: (0..CMUX_JOB_BLOCK).map(|_| SoaSpectrum::new(cols, half)).collect(),
-            time_batch: vec![0.0f64; cols * poly_size],
-        }
-    }
-
-    /// Asserts this scratch matches the `(k, N, l)` shape of the key
-    /// about to use it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any mismatch.
-    pub(crate) fn check_shape(&self, glwe_dimension: usize, poly_size: usize, level: usize) {
-        assert_eq!(self.diff.dimension(), glwe_dimension, "scratch glwe dimension mismatch");
-        assert_eq!(self.diff.poly_size(), poly_size, "scratch polynomial size mismatch");
-        self.ep.check_shape(glwe_dimension, poly_size, level);
-    }
-}
-
-/// Per-thread reusable working memory for the **multi-bit** grouped
-/// blind rotation ([`crate::bootstrap::MultiBitBootstrapKey`]).
-///
-/// The grouped kernel never rotates the accumulator in the time domain,
-/// so there are no `diff`/`prod` GLWE buffers; instead each job of a
-/// block stages a *combined* GGSW — the monomial-weighted sum of the
-/// group's `2^g` pattern entries — in a split-complex spectrum the same
-/// shape as one bootstrapping-key entry, plus one scratch monomial
-/// spectrum reused across every `(row, col)` MAC of a pattern.
-#[derive(Clone, Debug)]
-pub struct MultiBitPbsScratch {
-    /// Lane-parallel decomposition state (`N` extraction words).
-    pub(crate) decomp_state: Vec<u64>,
-    /// One job's full digit decomposition (`(k+1)·l · N` digits),
-    /// poly-major then level-major — the packed input of the batched
-    /// forward transform.
-    pub(crate) all_digits: Vec<i64>,
-    /// Per-job split digit spectra for one block ([`CMUX_JOB_BLOCK`]
-    /// batches of `(k+1)·l` transforms of `N/2` points).
-    pub(crate) digit_batch: Vec<SoaSpectrum>,
-    /// Per-job split accumulator spectra (`k+1` transforms each).
-    pub(crate) acc_batch: Vec<SoaSpectrum>,
-    /// Per-job combined-GGSW spectra: `(k+1)·l · (k+1)` transforms of
-    /// `N/2` points each — one full key entry's worth per job of a
-    /// block, assembled fresh per group.
-    pub(crate) comb_batch: Vec<SoaSpectrum>,
-    /// Monomial spectrum staging (real plane, `N/2` points).
-    pub(crate) mono_re: Vec<f64>,
-    /// Monomial spectrum staging (imaginary plane, `N/2` points).
-    pub(crate) mono_im: Vec<f64>,
-    /// Per-(job, pattern) monomial degrees for one block
-    /// ([`CMUX_JOB_BLOCK`] · `2^g` entries, pattern-minor).
-    pub(crate) degrees: Vec<usize>,
-    /// Batched inverse-transform output (`(k+1) · N` reals).
-    pub(crate) time_batch: Vec<f64>,
-    glwe_dimension: usize,
-    poly_size: usize,
-    level: usize,
-    grouping_factor: usize,
-}
-
-impl MultiBitPbsScratch {
-    /// Allocates scratch for multi-bit bootstraps of shape
-    /// `(k, N, l)` at `grouping_factor` bits per key entry.
-    pub fn new(
+    /// Allocates scratch for bootstraps of shape `(k, N, l)` under
+    /// `kernel`.
+    pub(crate) fn new(
         glwe_dimension: usize,
         poly_size: usize,
         decomp: DecompositionParams,
-        grouping_factor: usize,
+        kernel: PbsKernel,
     ) -> Self {
         let half = poly_size / 2;
         let cols = glwe_dimension + 1;
         let rows = cols * decomp.level;
+        let (combined, patterns, mono) = match kernel {
+            PbsKernel::Classical => (0, 0, 0),
+            PbsKernel::MultiBit { grouping_factor } => (CMUX_JOB_BLOCK, 1 << grouping_factor, half),
+        };
         Self {
+            diff: GlweCiphertext::zero(glwe_dimension, poly_size),
             decomp_state: vec![0u64; poly_size],
             all_digits: vec![0i64; rows * poly_size],
             digit_batch: (0..CMUX_JOB_BLOCK).map(|_| SoaSpectrum::new(rows, half)).collect(),
             acc_batch: (0..CMUX_JOB_BLOCK).map(|_| SoaSpectrum::new(cols, half)).collect(),
-            comb_batch: (0..CMUX_JOB_BLOCK).map(|_| SoaSpectrum::new(rows * cols, half)).collect(),
-            mono_re: vec![0.0f64; half],
-            mono_im: vec![0.0f64; half],
-            degrees: vec![0usize; CMUX_JOB_BLOCK << grouping_factor],
             time_batch: vec![0.0f64; cols * poly_size],
-            glwe_dimension,
-            poly_size,
+            comb_batch: (0..combined).map(|_| SoaSpectrum::new(rows * cols, half)).collect(),
+            mono_re: vec![0.0f64; mono],
+            mono_im: vec![0.0f64; mono],
+            degrees: vec![0usize; combined * patterns],
             level: decomp.level,
-            grouping_factor,
+            kernel,
         }
     }
 
-    /// Asserts this scratch matches the `(k, N, l, g)` shape of the key
-    /// about to use it.
+    /// Asserts this scratch matches the `(k, N, l)` shape and kernel of
+    /// the key about to use it.
     ///
     /// # Panics
     ///
-    /// Panics on any mismatch.
+    /// Panics on any mismatch — mixing scratch between parameter sets
+    /// is a programming error, not a recoverable condition.
     pub(crate) fn check_shape(
         &self,
         glwe_dimension: usize,
         poly_size: usize,
         level: usize,
-        grouping_factor: usize,
+        kernel: PbsKernel,
     ) {
-        assert_eq!(self.glwe_dimension, glwe_dimension, "scratch glwe dimension mismatch");
-        assert_eq!(self.poly_size, poly_size, "scratch polynomial size mismatch");
+        assert_eq!(self.diff.dimension(), glwe_dimension, "scratch glwe dimension mismatch");
+        assert_eq!(self.diff.poly_size(), poly_size, "scratch polynomial size mismatch");
         assert_eq!(self.level, level, "scratch decomposition level mismatch");
-        assert_eq!(self.grouping_factor, grouping_factor, "scratch grouping factor mismatch");
+        assert_eq!(
+            self.kernel.grouping_factor(),
+            kernel.grouping_factor(),
+            "scratch grouping factor mismatch"
+        );
     }
 }
 
@@ -256,17 +146,15 @@ impl MultiBitPbsScratch {
 mod tests {
     use super::*;
 
+    const MULTI_BIT: PbsKernel = PbsKernel::MultiBit { grouping_factor: 2 };
+
     #[test]
     fn buffers_are_sized_to_the_shape() {
         let decomp = DecompositionParams::new(8, 3);
-        let s = PbsScratch::new(2, 64, decomp);
-        assert_eq!(s.ep.decomp_state.len(), 64);
-        assert_eq!(s.ep.digit_levels.len(), 3 * 64);
-        assert_eq!(s.ep.digit_spec.len(), 32);
-        assert_eq!(s.ep.fourier_acc.len(), 3 * 32);
-        assert_eq!(s.ep.time_domain.len(), 64);
+        let s = PbsScratch::new(2, 64, decomp, PbsKernel::Classical);
+        assert_eq!(s.decomp_state.len(), 64);
         assert_eq!(s.diff.dimension(), 2);
-        assert_eq!(s.prod.poly_size(), 64);
+        assert_eq!(s.diff.poly_size(), 64);
         // Blocked-CMUX staging: one digit buffer per job of a block,
         // (k+1)·l transforms each, plus k+1 accumulator spectra.
         assert_eq!(s.all_digits.len(), 3 * 3 * 64);
@@ -276,20 +164,28 @@ mod tests {
         assert_eq!(s.acc_batch.len(), CMUX_JOB_BLOCK);
         assert_eq!(s.acc_batch[0].count(), 3);
         assert_eq!(s.time_batch.len(), 3 * 64);
-        s.check_shape(2, 64, 3);
+        // A classical key stages no combined GGSWs.
+        assert!(s.comb_batch.is_empty());
+        assert!(s.mono_re.is_empty() && s.mono_im.is_empty() && s.degrees.is_empty());
+        s.check_shape(2, 64, 3, PbsKernel::Classical);
     }
 
     #[test]
     #[should_panic(expected = "scratch polynomial size mismatch")]
     fn shape_mismatch_panics() {
         let decomp = DecompositionParams::new(8, 3);
-        PbsScratch::new(1, 64, decomp).check_shape(1, 128, 3);
+        PbsScratch::new(1, 64, decomp, PbsKernel::Classical).check_shape(
+            1,
+            128,
+            3,
+            PbsKernel::Classical,
+        );
     }
 
     #[test]
     fn multi_bit_buffers_are_sized_to_the_shape() {
         let decomp = DecompositionParams::new(8, 3);
-        let s = MultiBitPbsScratch::new(1, 64, decomp, 2);
+        let s = PbsScratch::new(1, 64, decomp, MULTI_BIT);
         assert_eq!(s.decomp_state.len(), 64);
         assert_eq!(s.all_digits.len(), 2 * 3 * 64);
         assert_eq!(s.digit_batch.len(), CMUX_JOB_BLOCK);
@@ -303,13 +199,18 @@ mod tests {
         assert_eq!(s.mono_im.len(), 32);
         assert_eq!(s.degrees.len(), CMUX_JOB_BLOCK << 2);
         assert_eq!(s.time_batch.len(), 2 * 64);
-        s.check_shape(1, 64, 3, 2);
+        s.check_shape(1, 64, 3, MULTI_BIT);
     }
 
     #[test]
     #[should_panic(expected = "scratch grouping factor mismatch")]
     fn multi_bit_grouping_mismatch_panics() {
         let decomp = DecompositionParams::new(8, 3);
-        MultiBitPbsScratch::new(1, 64, decomp, 2).check_shape(1, 64, 3, 3);
+        PbsScratch::new(1, 64, decomp, MULTI_BIT).check_shape(
+            1,
+            64,
+            3,
+            PbsKernel::MultiBit { grouping_factor: 3 },
+        );
     }
 }

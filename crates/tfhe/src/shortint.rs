@@ -201,7 +201,7 @@ impl ServerKey {
             .zip(&luts)
             .map(|(ct, lut)| crate::bootstrap::PbsJob { ct: &ct.ct, lut })
             .collect();
-        let booted = self.bsk.bootstrap_batch(&jobs)?;
+        let booted = self.bsk.bootstrap_batch(&jobs, 1)?;
         booted
             .iter()
             .map(|b| Ok(ShortintCiphertext { ct: self.ksk.keyswitch(b)?, message_bits: p }))

@@ -22,12 +22,13 @@
 
 use strix_fft::NegacyclicFft;
 
-use crate::bootstrap::Lut;
+use crate::bootstrap::{check_pbs_shape, Lut};
 use crate::decompose::DecompositionParams;
 use crate::ggsw::{FourierGgsw, GgswCiphertext};
 use crate::glwe::{GlweCiphertext, GlweSecretKey};
 use crate::lwe::{LweCiphertext, LweSecretKey};
 use crate::params::TfheParameters;
+use crate::reference::external_product;
 use crate::rng::NoiseSampler;
 use crate::torus::modulus_switch;
 use crate::TfheError;
@@ -131,20 +132,7 @@ impl UnrolledBootstrapKey {
     ///
     /// Returns [`TfheError::ParameterMismatch`] on shape mismatch.
     pub fn blind_rotate(&self, ct: &LweCiphertext, lut: &Lut) -> Result<GlweCiphertext, TfheError> {
-        if ct.dimension() != self.input_dimension {
-            return Err(TfheError::ParameterMismatch {
-                what: "lwe dimension",
-                left: ct.dimension(),
-                right: self.input_dimension,
-            });
-        }
-        if lut.poly_size() != self.poly_size {
-            return Err(TfheError::ParameterMismatch {
-                what: "polynomial size",
-                left: lut.poly_size(),
-                right: self.poly_size,
-            });
-        }
+        check_pbs_shape(ct, lut, self.input_dimension, self.poly_size)?;
         let log2_two_n = self.poly_size.trailing_zeros() + 1;
         let two_n = 2 * self.poly_size;
         let b_tilde = modulus_switch(ct.body(), log2_two_n) as usize;
@@ -172,7 +160,7 @@ impl UnrolledBootstrapKey {
                 }
                 let mut diff = acc.rotate_right(shift);
                 diff.sub_assign(&acc)?;
-                update.add_assign(&ggsw.external_product(&diff, &self.fft))?;
+                update.add_assign(&external_product(ggsw, &diff, &self.fft))?;
             }
             acc.add_assign(&update)?;
         }
@@ -181,7 +169,7 @@ impl UnrolledBootstrapKey {
             if a != 0 {
                 let mut diff = acc.rotate_right(a);
                 diff.sub_assign(&acc)?;
-                acc.add_assign(&tail.external_product(&diff, &self.fft))?;
+                acc.add_assign(&external_product(tail, &diff, &self.fft))?;
             }
         }
         Ok(acc)
@@ -192,6 +180,7 @@ impl UnrolledBootstrapKey {
 mod tests {
     use super::*;
     use crate::bootstrap::{decode_bool, encode_bool, BootstrapKey};
+    use crate::params::PbsKernel;
     use crate::torus::{decode_message, encode_fraction};
 
     struct Fixture {
@@ -210,7 +199,8 @@ mod tests {
             GlweSecretKey::generate(params.glwe_dimension, params.polynomial_size, &mut rng);
         let extracted = glwe_sk.to_extracted_lwe_key();
         let unrolled = UnrolledBootstrapKey::generate(&lwe_sk, &glwe_sk, &params, &mut rng);
-        let standard = BootstrapKey::generate(&lwe_sk, &glwe_sk, &params, &mut rng);
+        let standard =
+            BootstrapKey::generate(&lwe_sk, &glwe_sk, &params, PbsKernel::Classical, &mut rng);
         Fixture { params, lwe_sk, extracted, unrolled, standard, rng }
     }
 

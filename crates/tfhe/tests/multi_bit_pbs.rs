@@ -72,7 +72,7 @@ fn fixtures() -> &'static Vec<Fixture> {
                 params.validate().unwrap();
                 let seed = 0xC0FFEE ^ (g as u64) << 16 ^ poly as u64;
                 let (client, server) = generate_keys(&params, seed);
-                assert!(server.multi_bit_bootstrap_key().is_some());
+                assert_eq!(server.bootstrap_key_for(params.pbs_kernel).kernel(), params.pbs_kernel);
                 let lut = Lut::from_function(poly, MESSAGE_BITS, lut_fn).unwrap();
                 Fixture { params, client: Mutex::new(client), server, lut }
             })
@@ -103,10 +103,10 @@ proptest! {
         let jobs: Vec<PbsJob<'_>> =
             cts.iter().map(|ct| PbsJob { ct, lut: &fx.lut }).collect();
 
-        let classical = fx.server.bootstrap_key().bootstrap_batch(&jobs).unwrap();
-        let mbsk = fx.server.multi_bit_bootstrap_key().unwrap();
-        let grouped = mbsk.bootstrap_batch(&jobs).unwrap();
-        let grouped_parallel = mbsk.bootstrap_batch_parallel(&jobs, threads).unwrap();
+        let classical = fx.server.bootstrap_key().bootstrap_batch(&jobs, 1).unwrap();
+        let mbsk = fx.server.bootstrap_key_for(fx.params.pbs_kernel);
+        let grouped = mbsk.bootstrap_batch(&jobs, 1).unwrap();
+        let grouped_parallel = mbsk.bootstrap_batch(&jobs, threads).unwrap();
         prop_assert_eq!(
             &grouped_parallel, &grouped,
             "parallel grouped path diverged ({} jobs, {} threads, {})",
@@ -144,8 +144,8 @@ fn grouped_batch_matches_grouped_singles() {
     for fx in fixtures() {
         let cts: Vec<LweCiphertext> = (0..5).map(|m| fx.encrypt(m % 4)).collect();
         let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &fx.lut }).collect();
-        let mbsk = fx.server.multi_bit_bootstrap_key().unwrap();
-        let batched = mbsk.bootstrap_batch(&jobs).unwrap();
+        let mbsk = fx.server.bootstrap_key_for(fx.params.pbs_kernel);
+        let batched = mbsk.bootstrap_batch(&jobs, 1).unwrap();
         for (job, out) in jobs.iter().zip(&batched) {
             let single = mbsk.bootstrap(job.ct, job.lut).unwrap();
             assert_eq!(&single, out, "{}", fx.params.name);
@@ -162,8 +162,9 @@ fn all_zero_blocks_take_the_early_return_bit_exactly() {
     for fx in fixtures() {
         let cts: Vec<LweCiphertext> = (0..5).map(|m| fx.trivial(m % 4)).collect();
         let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &fx.lut }).collect();
-        let classical = fx.server.bootstrap_key().bootstrap_batch(&jobs).unwrap();
-        let grouped = fx.server.multi_bit_bootstrap_key().unwrap().bootstrap_batch(&jobs).unwrap();
+        let classical = fx.server.bootstrap_key().bootstrap_batch(&jobs, 1).unwrap();
+        let grouped =
+            fx.server.bootstrap_key_for(fx.params.pbs_kernel).bootstrap_batch(&jobs, 1).unwrap();
         assert_eq!(grouped, classical, "{}", fx.params.name);
         for (i, (out, &m)) in grouped.iter().zip([0u64, 1, 2, 3, 0].iter()).enumerate() {
             assert_eq!(fx.decode(out), lut_fn(m), "job {i} ({})", fx.params.name);
@@ -178,15 +179,16 @@ fn forced_portable_backend_matches_the_detected_backend_on_grouped_pbs() {
     // runs through the backend VMA kernels, so a multi-bit key forced
     // to the portable tier must produce byte-equal outputs to one on
     // the auto-detected tier.
-    use strix_tfhe::bootstrap::MultiBitBootstrapKey;
+    use strix_tfhe::bootstrap::BootstrapKey;
     use strix_tfhe::StrixFftBackend;
 
     let fx = &fixtures()[1]; // g = 2, N = 1024, n = 13 (width-1 remainder)
-    let portable_key = MultiBitBootstrapKey::generate_for_benchmark(
+    let kernel = PbsKernel::MultiBit { grouping_factor: 2 };
+    let portable_key = BootstrapKey::generate_for_benchmark(
         &fx.params.clone().with_fft_backend(StrixFftBackend::Portable),
-        2,
+        kernel,
     );
-    let auto_key = MultiBitBootstrapKey::generate_for_benchmark(&fx.params, 2);
+    let auto_key = BootstrapKey::generate_for_benchmark(&fx.params, kernel);
     let cts: Vec<LweCiphertext> = (0..5).map(|m| fx.trivial(m % 4)).collect();
     // Dense masks too: trivial jobs alone would skip every CMUX.
     let dense: Vec<LweCiphertext> = (0..5)
@@ -207,8 +209,8 @@ fn forced_portable_backend_matches_the_detected_backend_on_grouped_pbs() {
     for cts in [&cts, &dense] {
         let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &fx.lut }).collect();
         assert_eq!(
-            portable_key.bootstrap_batch(&jobs).unwrap(),
-            auto_key.bootstrap_batch(&jobs).unwrap(),
+            portable_key.bootstrap_batch(&jobs, 1).unwrap(),
+            auto_key.bootstrap_batch(&jobs, 1).unwrap(),
             "auto backend ({}) diverged from portable on the grouped kernel",
             auto_key.fft().backend()
         );
@@ -218,9 +220,9 @@ fn forced_portable_backend_matches_the_detected_backend_on_grouped_pbs() {
 #[test]
 fn empty_epoch_and_shape_mismatch_are_handled() {
     let fx = &fixtures()[0];
-    let mbsk = fx.server.multi_bit_bootstrap_key().unwrap();
-    assert!(mbsk.bootstrap_batch(&[]).unwrap().is_empty());
-    assert!(mbsk.bootstrap_batch_parallel(&[], 4).unwrap().is_empty());
+    let mbsk = fx.server.bootstrap_key_for(fx.params.pbs_kernel);
+    assert!(mbsk.bootstrap_batch(&[], 1).unwrap().is_empty());
+    assert!(mbsk.bootstrap_batch(&[], 4).unwrap().is_empty());
     // A ciphertext of the wrong dimension is rejected, not mangled.
     let bad = LweCiphertext::trivial(fx.params.lwe_dimension + 1, 0);
     assert!(mbsk.check_shape(&bad, &fx.lut).is_err());

@@ -36,12 +36,7 @@ fn measured_pbs_std(params: &TfheParameters, seed: u64) -> f64 {
         .map(|_| client.encrypt_shortint(MESSAGE, MESSAGE_BITS).unwrap().as_lwe().clone())
         .collect();
     let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &lut }).collect();
-    let outputs = match params.pbs_kernel {
-        PbsKernel::Classical => server.bootstrap_key().bootstrap_batch(&jobs).unwrap(),
-        PbsKernel::MultiBit { .. } => {
-            server.multi_bit_bootstrap_key().unwrap().bootstrap_batch(&jobs).unwrap()
-        }
-    };
+    let outputs = server.bootstrap_key_for(params.pbs_kernel).bootstrap_batch(&jobs, 1).unwrap();
     let errors: Vec<f64> =
         outputs.iter().map(|ct| measure_error(&client, ct, expected_pt)).collect();
     error_std(&errors)

@@ -63,14 +63,14 @@ fn probed_bootstrap_is_bit_identical_to_production_on_real_keys() {
         (0..5u64).map(|i| client.encrypt_shortint(i % 4, 2).unwrap().as_lwe().clone()).collect();
     let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &lut }).collect();
 
-    let production = bsk.bootstrap_batch(&jobs).unwrap();
+    let production = bsk.bootstrap_batch(&jobs, 1).unwrap();
     let mut timings = StageTimings::new();
     let probed = bsk.bootstrap_batch_profiled(&jobs, &mut timings).unwrap();
     assert_eq!(probed, production, "TimingProbe must not perturb the arithmetic");
 
     // Single-job probed path agrees too.
     let mut single_timings = StageTimings::new();
-    let single = bsk.bootstrap_profiled(&cts[0], &lut, &mut single_timings).unwrap();
+    let single = bsk.bootstrap_batch_profiled(&jobs[..1], &mut single_timings).unwrap().remove(0);
     assert_eq!(single, production[0]);
     assert!(single_timings.total_for(PbsStage::Fft) > Duration::ZERO);
 }
@@ -82,13 +82,14 @@ fn probed_multi_bit_bootstrap_is_bit_identical_to_production() {
     let params =
         TfheParameters::testing_fast().with_kernel(PbsKernel::MultiBit { grouping_factor: 2 });
     let (mut client, server) = generate_keys(&params, 246);
-    let mbsk = server.multi_bit_bootstrap_key().expect("multi-bit params carry the grouped key");
+    let mbsk = server.bootstrap_key_for(params.pbs_kernel);
+    assert_eq!(mbsk.kernel(), params.pbs_kernel, "multi-bit params carry the grouped key");
     let lut = Lut::from_function(params.polynomial_size, 2, |m| (m + 3) % 4).unwrap();
     let cts: Vec<_> =
         (0..5u64).map(|i| client.encrypt_shortint(i % 4, 2).unwrap().as_lwe().clone()).collect();
     let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &lut }).collect();
 
-    let production = mbsk.bootstrap_batch(&jobs).unwrap();
+    let production = mbsk.bootstrap_batch(&jobs, 1).unwrap();
     let mut timings = StageTimings::new();
     let probed = mbsk.bootstrap_batch_profiled(&jobs, &mut timings).unwrap();
     assert_eq!(probed, production, "TimingProbe must not perturb the grouped kernel");
@@ -104,7 +105,7 @@ fn probed_multi_bit_stage_times_sum_to_the_measured_wall_time() {
     let params =
         TfheParameters::testing_fast().with_kernel(PbsKernel::MultiBit { grouping_factor: 2 });
     let (mut client, server) = generate_keys(&params, 135);
-    let mbsk = server.multi_bit_bootstrap_key().unwrap();
+    let mbsk = server.bootstrap_key_for(params.pbs_kernel);
     let lut = Lut::from_function(params.polynomial_size, 2, |m| m).unwrap();
     let cts: Vec<_> =
         (0..6u64).map(|i| client.encrypt_shortint(i % 4, 2).unwrap().as_lwe().clone()).collect();

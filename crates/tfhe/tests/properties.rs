@@ -12,7 +12,7 @@ use strix_tfhe::lwe::{LweCiphertext, LweSecretKey};
 use strix_tfhe::poly::TorusPolynomial;
 use strix_tfhe::rng::NoiseSampler;
 use strix_tfhe::torus;
-use strix_tfhe::TfheParameters;
+use strix_tfhe::{PbsKernel, TfheParameters};
 
 fn decomp_strategy() -> impl Strategy<Value = DecompositionParams> {
     (1u32..=16, 1usize..=4)
@@ -151,7 +151,8 @@ fn pbs_fixture() -> &'static (TfheParameters, BootstrapKey, Vec<Lut>) {
         let lwe_sk = LweSecretKey::generate(params.lwe_dimension, &mut rng);
         let glwe_sk =
             GlweSecretKey::generate(params.glwe_dimension, params.polynomial_size, &mut rng);
-        let bsk = BootstrapKey::generate(&lwe_sk, &glwe_sk, &params, &mut rng);
+        let bsk =
+            BootstrapKey::generate(&lwe_sk, &glwe_sk, &params, PbsKernel::Classical, &mut rng);
         let luts = vec![
             Lut::sign(params.polynomial_size, torus::encode_fraction(1, 3)),
             Lut::from_function(params.polynomial_size, 2, |m| (3 * m + 1) % 4).unwrap(),
@@ -164,7 +165,7 @@ proptest! {
     // PBS-heavy property: fewer cases, each covering a random epoch.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// `bootstrap_batch_parallel` must be *bit*-identical to the
+    /// A threaded `bootstrap_batch` must be *bit*-identical to the
     /// sequential key-major path for any epoch shape — including job
     /// counts that do not divide evenly across the thread count and
     /// epochs smaller than the thread count.
@@ -188,8 +189,8 @@ proptest! {
             .enumerate()
             .map(|(i, ct)| PbsJob { ct, lut: &luts[i % luts.len()] })
             .collect();
-        let sequential = bsk.bootstrap_batch(&jobs).unwrap();
-        let parallel = bsk.bootstrap_batch_parallel(&jobs, threads).unwrap();
+        let sequential = bsk.bootstrap_batch(&jobs, 1).unwrap();
+        let parallel = bsk.bootstrap_batch(&jobs, threads).unwrap();
         prop_assert_eq!(parallel, sequential, "jobs={} threads={}", job_count, threads);
     }
 }

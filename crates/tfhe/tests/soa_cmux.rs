@@ -1,13 +1,12 @@
-//! Bit-identity of the coefficient-batched (SoA, job-blocked) CMUX
-//! path against the per-job interleaved oracle, across parameter
-//! shapes and job counts.
+//! Bit-identity of the coefficient-batched (job-blocked) CMUX driver
+//! against the per-job oracle, across parameter shapes and job counts.
 //!
-//! The blocked batch path (`blind_rotate_batch_with`) re-schedules the
-//! external product across jobs — batched split-complex FFTs, a
-//! row-major VMA over each block, a batched inverse — but performs the
-//! same per-job arithmetic in the same per-job order as the oracle
-//! (`blind_rotate_with` → `external_product_scratch`). These tests pin
-//! that equivalence at the bit level, including:
+//! The blocked driver (`bootstrap_batch`) re-schedules the external
+//! product across jobs — batched split-complex FFTs, a row-major VMA
+//! over each block, a batched inverse — but performs the same per-job
+//! arithmetic in the same per-job order as the oracle
+//! (`reference::blind_rotate` → `reference::external_product_scratch`).
+//! These tests pin that equivalence at the bit level, including:
 //!
 //! * every combination of k ∈ {1, 2}, N ∈ {512, 1024, 2048} and
 //!   level ∈ {2, 3} (first-stage radix of the half-size kernel flips
@@ -16,7 +15,7 @@
 //! * job counts that do **not** divide `CMUX_JOB_BLOCK` (partial final
 //!   blocks) and jobs whose masks modulus-switch to zero rotations
 //!   (skipped inside a block),
-//! * the parallel sharded entry point (`bootstrap_batch_parallel`).
+//! * the parallel sharded driver (`bootstrap_batch` with `threads > 1`).
 //!
 //! Keys here are timing-equivalent trivial keys with dense pseudo-
 //! random ciphertext masks: bit-identity is a property of the
@@ -31,9 +30,10 @@ use proptest::prelude::*;
 
 use strix_tfhe::bootstrap::{BootstrapKey, Lut, PbsJob};
 use strix_tfhe::lwe::LweCiphertext;
+use strix_tfhe::reference;
 use strix_tfhe::scratch::CMUX_JOB_BLOCK;
 use strix_tfhe::torus::encode_fraction;
-use strix_tfhe::{StrixFftBackend, TfheParameters};
+use strix_tfhe::{PbsKernel, StrixFftBackend, TfheParameters};
 
 /// Small LWE dimension: enough blind-rotation iterations to exercise
 /// many (entry, block) steps while keeping 2048-point transforms fast.
@@ -65,12 +65,15 @@ fn random_ct(seed: u64, dim: usize) -> LweCiphertext {
     LweCiphertext::from_raw((0..=dim).map(|_| splitmix(&mut state)).collect())
 }
 
-/// Per-job oracle: the PR 4 scratch path, one job at a time.
+/// Per-job oracle: the reference CMUX, one job at a time.
 fn oracle_outputs(bsk: &BootstrapKey, jobs: &[PbsJob<'_>]) -> Vec<LweCiphertext> {
-    let mut scratch = bsk.scratch();
     jobs.iter()
-        .map(|job| bsk.blind_rotate_with(job.ct, job.lut, &mut scratch).unwrap().sample_extract())
+        .map(|job| reference::blind_rotate(bsk, job.ct, job.lut).unwrap().sample_extract())
         .collect()
+}
+
+fn benchmark_key(params: &TfheParameters) -> BootstrapKey {
+    BootstrapKey::generate_for_benchmark(params, PbsKernel::Classical)
 }
 
 #[test]
@@ -79,7 +82,7 @@ fn blocked_cmux_is_bit_identical_to_per_job_oracle_across_shapes() {
         for n in [512usize, 1024, 2048] {
             for level in [2usize, 3] {
                 let params = shaped_params(k, n, level);
-                let bsk = BootstrapKey::generate_for_benchmark(&params);
+                let bsk = benchmark_key(&params);
                 let lut = Lut::sign(n, encode_fraction(1, 3));
                 // CMUX_JOB_BLOCK + 1 jobs: one full block plus a
                 // partial block of one.
@@ -87,7 +90,7 @@ fn blocked_cmux_is_bit_identical_to_per_job_oracle_across_shapes() {
                     .map(|j| random_ct(0xA5A5 + j + (k * n * level) as u64, TEST_LWE_DIM))
                     .collect();
                 let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &lut }).collect();
-                let blocked = bsk.bootstrap_batch(&jobs).unwrap();
+                let blocked = bsk.bootstrap_batch(&jobs, 1).unwrap();
                 let oracle = oracle_outputs(&bsk, &jobs);
                 assert_eq!(blocked, oracle, "k={k} n={n} level={level}");
             }
@@ -101,14 +104,14 @@ fn blocked_cmux_handles_zero_rotations_inside_a_block() {
     // into a block with active jobs must leave both its own output and
     // its neighbours' outputs bit-identical to the oracle.
     let params = shaped_params(1, 512, 2);
-    let bsk = BootstrapKey::generate_for_benchmark(&params);
+    let bsk = benchmark_key(&params);
     let lut = Lut::sign(512, encode_fraction(1, 3));
     let mut cts: Vec<LweCiphertext> =
         (0..6u64).map(|j| random_ct(0xBEEF + j, TEST_LWE_DIM)).collect();
     cts[1] = LweCiphertext::trivial(TEST_LWE_DIM, encode_fraction(1, 3));
     cts[4] = LweCiphertext::trivial(TEST_LWE_DIM, 0);
     let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &lut }).collect();
-    assert_eq!(bsk.bootstrap_batch(&jobs).unwrap(), oracle_outputs(&bsk, &jobs));
+    assert_eq!(bsk.bootstrap_batch(&jobs, 1).unwrap(), oracle_outputs(&bsk, &jobs));
 }
 
 #[test]
@@ -121,17 +124,16 @@ fn forced_portable_backend_is_bit_identical_to_the_detected_backend() {
     // which is fine: it then costs one extra keygen, not coverage.
     for n in [1024usize, 2048] {
         let params = shaped_params(1, n, 2);
-        let portable_key = BootstrapKey::generate_for_benchmark(
-            &params.clone().with_fft_backend(StrixFftBackend::Portable),
-        );
-        let auto_key = BootstrapKey::generate_for_benchmark(&params);
+        let portable_key =
+            benchmark_key(&params.clone().with_fft_backend(StrixFftBackend::Portable));
+        let auto_key = benchmark_key(&params);
         let lut = Lut::sign(n, encode_fraction(1, 3));
         let cts: Vec<LweCiphertext> =
             (0..4u64).map(|j| random_ct(0xF0CA + j + n as u64, TEST_LWE_DIM)).collect();
         let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &lut }).collect();
         assert_eq!(
-            portable_key.bootstrap_batch(&jobs).unwrap(),
-            auto_key.bootstrap_batch(&jobs).unwrap(),
+            portable_key.bootstrap_batch(&jobs, 1).unwrap(),
+            auto_key.bootstrap_batch(&jobs, 1).unwrap(),
             "n={n}: auto backend ({}) diverged from portable",
             auto_key.fft().backend()
         );
@@ -143,7 +145,7 @@ fn fixture() -> &'static (TfheParameters, BootstrapKey, Lut, Lut) {
     static FIXTURE: OnceLock<(TfheParameters, BootstrapKey, Lut, Lut)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let params = shaped_params(1, 512, 3);
-        let bsk = BootstrapKey::generate_for_benchmark(&params);
+        let bsk = benchmark_key(&params);
         let lut_sign = Lut::sign(512, encode_fraction(1, 3));
         let lut_id = Lut::from_function(512, 2, |m| m).unwrap();
         (params, bsk, lut_sign, lut_id)
@@ -171,8 +173,8 @@ proptest! {
             .map(|(i, ct)| PbsJob { ct, lut: if i % 2 == 0 { lut_sign } else { lut_id } })
             .collect();
         let oracle = oracle_outputs(bsk, &jobs);
-        prop_assert_eq!(&bsk.bootstrap_batch(&jobs).unwrap(), &oracle);
-        prop_assert_eq!(&bsk.bootstrap_batch_parallel(&jobs, threads).unwrap(), &oracle);
+        prop_assert_eq!(&bsk.bootstrap_batch(&jobs, 1).unwrap(), &oracle);
+        prop_assert_eq!(&bsk.bootstrap_batch(&jobs, threads).unwrap(), &oracle);
     }
 }
 
@@ -184,7 +186,7 @@ fn profiled_batch_is_bit_identical_and_records_all_cmux_stages() {
     let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: lut_sign }).collect();
     let mut timings = StageTimings::new();
     let profiled = bsk.bootstrap_batch_profiled(&jobs, &mut timings).unwrap();
-    assert_eq!(profiled, bsk.bootstrap_batch(&jobs).unwrap());
+    assert_eq!(profiled, bsk.bootstrap_batch(&jobs, 1).unwrap());
     for stage in [
         PbsStage::ModSwitch,
         PbsStage::Rotate,

@@ -1,8 +1,7 @@
 //! Integration tests for the extension features beyond the paper's
 //! headline pipeline: bootstrapping-key unrolling (§VII / Matcha),
-//! bivariate LUTs, radix integers and the shared FFT plan cache.
+//! bivariate LUTs, radix integers and the top-level energy report.
 
-use strix::fft::planner;
 use strix::tfhe::bootstrap::Lut;
 use strix::tfhe::integer::RadixSpec;
 use strix::tfhe::prelude::*;
@@ -55,18 +54,6 @@ fn bivariate_lut_computes_two_input_functions() {
         let out = server.apply_bivariate_lut(&ca, &cb, |x, y| (x + 2 * y) % 4).unwrap();
         assert_eq!(client.decrypt_shortint(&out), (a + 2 * b) % 4, "f({a},{b})");
     }
-}
-
-#[test]
-fn plan_cache_shares_transforms_across_uses() {
-    let a = planner::global().get_or_create(2048).unwrap();
-    let b = planner::global().get_or_create(2048).unwrap();
-    assert!(std::sync::Arc::ptr_eq(&a, &b));
-    // And the shared plan actually transforms.
-    let poly = vec![1i64; 2048];
-    let mut spec = vec![strix::fft::Complex64::ZERO; 1024];
-    a.forward_i64(&poly, &mut spec).unwrap();
-    assert!(spec[0].abs() > 0.0);
 }
 
 #[test]

@@ -200,7 +200,7 @@ fn analyzer_matches_measured_noise_under_multi_bit_kernel() {
             .map(|_| client.encrypt_shortint(MESSAGE, MESSAGE_BITS).unwrap().as_lwe().clone())
             .collect();
         let jobs: Vec<PbsJob<'_>> = cts.iter().map(|ct| PbsJob { ct, lut: &lut }).collect();
-        let boots = server.multi_bit_bootstrap_key().unwrap().bootstrap_batch(&jobs).unwrap();
+        let boots = server.bootstrap_key_for(params.pbs_kernel).bootstrap_batch(&jobs, 1).unwrap();
         let errors: Vec<f64> = boots
             .iter()
             .map(|b| {
