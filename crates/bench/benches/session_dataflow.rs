@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use strix_core::BatchGeometry;
 use strix_runtime::session::ProgramSession;
-use strix_runtime::{Runtime, RuntimeConfig, RuntimeReport, TfheExecutor};
+use strix_runtime::{KeyRegistry, Runtime, RuntimeConfig, RuntimeReport};
 use strix_tfhe::lwe::LweCiphertext;
 use strix_tfhe::prelude::*;
 use strix_workloads::gates::{equality_program, ripple_carry_adder_program};
@@ -41,11 +41,11 @@ fn run_mix(runtime: &Runtime, key: &mut ClientKey, a: u64, b: u64) {
 }
 
 fn sweep(clients: usize, client_key: &ClientKey, server_key: &Arc<ServerKey>) -> RuntimeReport {
-    let runtime = Runtime::start(
+    let runtime = Runtime::start_multi_tenant(
         RuntimeConfig::new(BatchGeometry::explicit(2, 8))
             .with_max_delay(Duration::from_millis(10))
             .with_workers(1),
-        TfheExecutor::new(Arc::clone(server_key)),
+        Arc::new(KeyRegistry::pinned(Arc::clone(server_key))),
     );
     std::thread::scope(|scope| {
         for c in 0..clients as u64 {

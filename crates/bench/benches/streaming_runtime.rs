@@ -12,7 +12,9 @@ use std::time::Duration;
 
 use strix_bench::{banner, markdown_table, runtime_vs_simulator_rows, RUNTIME_COMPARISON_HEADER};
 use strix_core::{BatchGeometry, StrixConfig, StrixSimulator};
-use strix_runtime::{ArrivalProcess, OpenLoopTrafficGen, RequestOp, Runtime, RuntimeConfig};
+use strix_runtime::{
+    ArrivalProcess, KeyRegistry, OpenLoopTrafficGen, RequestOp, Runtime, RuntimeConfig,
+};
 use strix_tfhe::bootstrap::Lut;
 use strix_tfhe::prelude::*;
 
@@ -32,12 +34,12 @@ fn main() {
     const WORKERS: usize = 2;
     let threads_per_worker =
         std::thread::available_parallelism().map_or(1, |p| (p.get() / WORKERS).clamp(1, 4));
-    let runtime = Runtime::start_tfhe(
+    let runtime = Runtime::start_multi_tenant(
         RuntimeConfig::new(geometry)
             .with_max_delay(Duration::from_millis(50))
             .with_workers(WORKERS)
             .with_threads_per_worker(threads_per_worker),
-        Arc::new(server_key),
+        Arc::new(KeyRegistry::pinned(Arc::new(server_key))),
     );
     let lut =
         Arc::new(Lut::from_function(params.polynomial_size, BITS, |m| (7 * m + 1) % 8).unwrap());

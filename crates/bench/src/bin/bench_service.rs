@@ -49,7 +49,7 @@ use strix_bench::{
 };
 use strix_core::BatchGeometry;
 use strix_runtime::{
-    ArrivalProcess, OpenLoopTrafficGen, RequestOp, Runtime, RuntimeConfig, TraceConfig,
+    ArrivalProcess, KeyRegistry, OpenLoopTrafficGen, RequestOp, Runtime, RuntimeConfig, TraceConfig,
 };
 use strix_tfhe::bootstrap::Lut;
 use strix_tfhe::lwe::LweCiphertext;
@@ -143,6 +143,11 @@ impl MaskGen {
     }
 }
 
+/// A single-tenant runtime serving `server`.
+fn start_runtime(config: RuntimeConfig, server: &Arc<ServerKey>) -> Runtime {
+    Runtime::start_multi_tenant(config, Arc::new(KeyRegistry::pinned(Arc::clone(server))))
+}
+
 /// Fixed-backlog capacity: one client floods the ingress so every
 /// epoch flushes full, and the steady-state PBS/s is measured over
 /// `capacity_epochs` epochs after a one-epoch warmup.
@@ -152,7 +157,7 @@ fn measure_capacity(
     lut: &Arc<Lut>,
     telemetry: bool,
 ) -> f64 {
-    let runtime = Runtime::start_tfhe(shape.runtime_config(telemetry), Arc::clone(server));
+    let runtime = start_runtime(shape.runtime_config(telemetry), server);
     let mut handle = runtime.client();
     let mut masks = MaskGen(0x5eed + telemetry as u64);
     let epoch = shape.geometry.epoch_size();
@@ -199,7 +204,7 @@ fn run_load_point(
     offered: f64,
     seed: u64,
 ) -> ServiceLoadPoint {
-    let runtime = Runtime::start_tfhe(shape.runtime_config(true), Arc::clone(server));
+    let runtime = start_runtime(shape.runtime_config(true), server);
     let per_client_rate = offered / CLIENTS as f64;
     let per_client = ((per_client_rate * shape.duration.as_secs_f64()).round() as usize).max(1);
     let traffic =
@@ -283,6 +288,14 @@ fn run_load_point(
         mean_slip_ms,
         saturated: achieved < offered * SATURATION_SHORTFALL && slipped,
     }
+}
+
+/// The saturation knee: the highest throughput the runtime achieved
+/// while still keeping pace with its offered load — the largest
+/// `achieved_pbs_per_s` over unsaturated points, or 0.0 when every
+/// point saturated.
+fn knee_pbs_per_s(points: &[ServiceLoadPoint]) -> f64 {
+    points.iter().filter(|p| !p.saturated).map(|p| p.achieved_pbs_per_s).fold(0.0, f64::max)
 }
 
 /// Best-effort short git commit hash of the working tree.
@@ -426,7 +439,7 @@ fn main() {
             point
         })
         .collect();
-    let knee_pbs_per_s = points.iter().map(|p| p.achieved_pbs_per_s).fold(0.0f64, f64::max);
+    let knee_pbs_per_s = knee_pbs_per_s(&points);
 
     let report = ServiceBenchReport {
         schema: SERVICE_SCHEMA.into(),
@@ -461,5 +474,40 @@ fn main() {
             eprintln!("bench_service: baseline {path} unreadable; comparison skipped");
         }
         None => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn point(achieved_pbs_per_s: f64, saturated: bool) -> ServiceLoadPoint {
+        ServiceLoadPoint {
+            offered_pbs_per_s: achieved_pbs_per_s,
+            duration_s: 1.0,
+            requests: 1,
+            completed: 1,
+            failed: 0,
+            achieved_pbs_per_s,
+            p50_ms: 1.0,
+            p90_ms: 1.0,
+            p99_ms: 1.0,
+            max_ms: 1.0,
+            mean_occupancy: 1.0,
+            queue_high_water: 1,
+            mean_slip_ms: 0.0,
+            saturated,
+        }
+    }
+
+    #[test]
+    fn knee_is_the_best_unsaturated_rung() {
+        // The saturated top rung achieves the most, but past the knee:
+        // it must not count.
+        let points =
+            [point(14.0, false), point(25.0, false), point(22.0, false), point(31.0, true)];
+        assert_eq!(knee_pbs_per_s(&points), 25.0);
+        assert_eq!(knee_pbs_per_s(&[point(9.0, true), point(12.0, true)]), 0.0);
+        assert_eq!(knee_pbs_per_s(&[]), 0.0);
     }
 }

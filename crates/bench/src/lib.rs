@@ -40,7 +40,8 @@ pub struct ServiceBenchReport {
     /// settings, in percent of untraced capacity (negative values are
     /// measurement noise).
     pub trace_overhead_percent: f64,
-    /// The saturation knee: the largest achieved PBS/s over the sweep.
+    /// The saturation knee: the largest achieved PBS/s over the
+    /// unsaturated points (0.0 when every point saturated).
     pub knee_pbs_per_s: f64,
     /// One entry per offered-load point, in sweep order.
     pub points: Vec<ServiceLoadPoint>,

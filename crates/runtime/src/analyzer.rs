@@ -136,7 +136,8 @@ impl ProgramAnalysis {
 /// The [`KernelPolicy`] here should be the *effective* one — each
 /// class resolved to the kernel the executor will actually dispatch
 /// (classical fallback included), which is what
-/// [`TfheExecutor::admission`](crate::TfheExecutor) constructs.
+/// [`MultiTenantExecutor`](crate::MultiTenantExecutor)'s
+/// [`admission`](crate::BatchExecutor::admission) constructs.
 #[derive(Clone, Debug)]
 pub struct AdmissionPolicy {
     params: TfheParameters,

@@ -10,8 +10,10 @@ pub enum RuntimeError {
     Shutdown,
     /// The underlying homomorphic operation failed.
     Tfhe(TfheError),
-    /// A response was expected but the worker pool dropped the request
-    /// (should not happen under the drain-on-shutdown contract).
+    /// The request got no result: its epoch's executor panicked or
+    /// returned too few results, or
+    /// [`recv_timeout`](crate::ClientHandle::recv_timeout) ran out of
+    /// time. The runtime keeps serving either way.
     Lost,
     /// A dataflow program is malformed (bad wire reference, input
     /// count mismatch, weight arity mismatch).

@@ -2,9 +2,12 @@
 //!
 //! The scheduler is execution-agnostic: workers hand each flushed
 //! epoch to a [`BatchExecutor`]. The production back-end is
-//! [`TfheExecutor`], which drives `strix-tfhe`'s key-major batched
+//! [`MultiTenantExecutor`], which resolves the epoch's server key from
+//! a [`KeyRegistry`] and drives `strix-tfhe`'s key-major batched
 //! bootstrap so one pass over the bootstrapping key serves the whole
-//! epoch — the software realisation of core-level batching. Tests use
+//! epoch — the software realisation of core-level batching. A
+//! single-tenant deployment is a registry holding one pinned key
+//! ([`KeyRegistry::pinned`]). Tests use
 //! lightweight synthetic executors to exercise scheduling behaviour in
 //! isolation.
 
@@ -179,91 +182,7 @@ pub trait BatchExecutor: Send + Sync + 'static {
     }
 }
 
-/// The TFHE back-end: batched PBS with amortised bootstrapping-key
-/// access — optionally split across an intra-epoch thread pool
-/// ([`strix_tfhe::bootstrap::BootstrapKey::bootstrap_batch`]) — plus
-/// batched keyswitching where the operation asks for it. Both
-/// tails of Algorithm 2 run batched: the post-PBS keyswitches are
-/// sharded across the same thread budget as the blind rotation
-/// ([`strix_tfhe::keyswitch::KeySwitchKey::keyswitch_batch_parallel`]),
-/// and keyswitch-only requests form one batch per epoch (one digit
-/// buffer, no per-request allocation), borrowed straight from the
-/// request structures.
-pub struct TfheExecutor {
-    server: Arc<ServerKey>,
-    threads: usize,
-    /// Per-request-class kernel selection, resolved against the server
-    /// key's material at epoch execution time.
-    policy: KernelPolicy,
-    /// The sign LUT shared by every gate request, built once per
-    /// executor instead of once per gate.
-    gate_lut: Lut,
-    /// Minimum predicted decision margin (in sigmas) the admission
-    /// analyzer requires of every submitted program.
-    admission_threshold_sigmas: f64,
-}
-
-impl TfheExecutor {
-    /// Wraps a server key; epochs execute on the calling worker thread
-    /// alone.
-    pub fn new(server: Arc<ServerKey>) -> Self {
-        Self::with_threads(server, 1)
-    }
-
-    /// Wraps a server key with an intra-epoch thread budget: each
-    /// epoch's PBS jobs are sharded across up to `threads` scoped
-    /// threads sharing the bootstrapping key, bit-identically to the
-    /// sequential path. `threads` is clamped to at least 1.
-    ///
-    /// The kernel policy follows the server key's parameter set: a key
-    /// generated for [`PbsKernel::MultiBit`] parameters routes every
-    /// class through the grouped kernel, a classical key through the
-    /// classical one. Use [`Self::with_policy`] to override per class.
-    pub fn with_threads(server: Arc<ServerKey>, threads: usize) -> Self {
-        let policy = KernelPolicy::uniform(server.params().pbs_kernel);
-        Self::with_policy(server, threads, policy)
-    }
-
-    /// Wraps a server key with an explicit per-class kernel policy.
-    /// Classes the policy routes to a kernel whose key material the
-    /// server key does not carry fall back to the classical kernel
-    /// (always present).
-    pub fn with_policy(server: Arc<ServerKey>, threads: usize, policy: KernelPolicy) -> Self {
-        let gate_lut = gate_sign_lut(server.params().polynomial_size);
-        Self {
-            server,
-            threads: threads.max(1),
-            policy,
-            gate_lut,
-            admission_threshold_sigmas: crate::analyzer::DEFAULT_THRESHOLD_SIGMAS,
-        }
-    }
-
-    /// Overrides the admission threshold: the minimum predicted
-    /// decision margin, in standard deviations of the accumulated
-    /// noise, the static analyzer requires of every program node. A
-    /// non-positive threshold admits everything.
-    pub fn with_admission_threshold(mut self, sigmas: f64) -> Self {
-        self.admission_threshold_sigmas = sigmas;
-        self
-    }
-
-    /// The kernel policy this executor dispatches with.
-    pub fn kernel_policy(&self) -> KernelPolicy {
-        self.policy
-    }
-
-    /// The kernel `class` actually executes with, after resolving the
-    /// policy's intent against the server key's material
-    /// ([`ServerKey::bootstrap_key_for`]): the grouped key's own
-    /// grouping factor when multi-bit is selected and present, the
-    /// classical kernel otherwise.
-    pub fn effective_kernel(&self, class: RequestClass) -> PbsKernel {
-        self.server.bootstrap_key_for(self.policy.kernel_for(class)).kernel()
-    }
-}
-
-/// Block-aware intra-epoch thread plan shared by the TFHE executors:
+/// Block-aware intra-epoch thread plan of the TFHE executor:
 /// the blocked CMUX amortises each key row over up to `CMUX_JOB_BLOCK`
 /// accumulators, so a shard smaller than one block trades that
 /// locality for thread count. Cap the shard count at one block per
@@ -282,11 +201,9 @@ struct KernelGroup<'a> {
     jobs: Vec<PbsJob<'a>>,
 }
 
-/// Runs one epoch of requests against a specific server key — the
-/// shared body of [`TfheExecutor`] (one fixed key for the runtime's
-/// lifetime) and [`MultiTenantExecutor`] (the epoch's tenant key,
-/// resolved from the [`KeyRegistry`] and pinned for the whole PBS+KS
-/// run by the borrow held here).
+/// Runs one epoch of requests against the epoch's tenant key, resolved
+/// from the [`KeyRegistry`] by [`MultiTenantExecutor`] and pinned for
+/// the whole PBS+KS run by the borrow held here.
 fn execute_epoch_on_key(
     server: &ServerKey,
     threads: usize,
@@ -508,64 +425,31 @@ fn execute_epoch_on_key(
     EpochExecution { results, pbs_span, ks_span, stage_sample, kernel_jobs }
 }
 
-impl BatchExecutor for TfheExecutor {
-    fn execute(&self, batch: &[Request]) -> Vec<Result<LweCiphertext, TfheError>> {
-        self.execute_epoch(batch, false).results
-    }
-
-    fn execute_epoch(&self, batch: &[Request], profiled: bool) -> EpochExecution {
-        execute_epoch_on_key(
-            &self.server,
-            self.threads,
-            &self.policy,
-            &self.gate_lut,
-            batch,
-            profiled,
-        )
-    }
-
-    fn planned_threads(&self, batch_len: usize) -> usize {
-        plan_threads(self.threads, batch_len)
-    }
-
-    fn max_threads(&self) -> usize {
-        self.threads
-    }
-
-    fn admission(&self) -> Option<AdmissionPolicy> {
-        // The policy resolves each class's *effective* kernel (the one
-        // the epoch loop above will dispatch to), so the analyzer
-        // predicts exactly what execution does — including classical
-        // fallback when the grouped key is absent.
-        let mut effective = KernelPolicy::uniform(self.effective_kernel(RequestClass::Gate));
-        for class in RequestClass::ALL {
-            effective = effective.with_class(class, self.effective_kernel(class));
-        }
-        Some(
-            AdmissionPolicy::new(self.server.params().clone(), effective)
-                .with_threshold(self.admission_threshold_sigmas),
-        )
-    }
-
-    fn fft_backend(&self) -> Option<String> {
-        Some(self.server.bootstrap_key().fft().backend().label().to_string())
-    }
-}
-
-/// The multi-tenant TFHE back-end: the same key-major epoch execution
-/// as [`TfheExecutor`], but with the server key resolved per epoch from
-/// a shared [`KeyRegistry`] instead of fixed at construction. Epochs
-/// are single-tenant by construction (the batcher partitions its open
-/// window by tenant), so one [`resolve`](KeyRegistry::resolve) pins the
-/// epoch's key — as an `Arc`, safe against concurrent eviction — for
-/// the whole PBS+KS run: the third batching level, grouping by *key*
-/// above the TvLP × core_batch grouping by ciphertext.
+/// The TFHE back-end: batched PBS with amortised bootstrapping-key
+/// access — optionally split across an intra-epoch thread pool
+/// ([`BootstrapKey::bootstrap_batch`]) — plus batched keyswitching
+/// where the operation asks for it. Both tails of Algorithm 2 run
+/// batched: the post-PBS keyswitches are sharded across the same
+/// thread budget as the blind rotation, and keyswitch-only requests
+/// form one batch per epoch.
+///
+/// The server key is resolved per epoch from a shared [`KeyRegistry`].
+/// Epochs are single-tenant by construction (the batcher partitions
+/// its open window by tenant), so one [`resolve`](KeyRegistry::resolve)
+/// pins the epoch's key — as an `Arc`, safe against concurrent
+/// eviction — for the whole PBS+KS run: the third batching level,
+/// grouping by *key* above the TvLP × core_batch grouping by
+/// ciphertext. A single-tenant executor wraps
+/// [`KeyRegistry::pinned`].
 pub struct MultiTenantExecutor {
     registry: Arc<KeyRegistry>,
     threads: usize,
+    /// Per-request-class kernel selection, resolved against the epoch
+    /// key's material at execution time.
     policy: KernelPolicy,
+    /// The sign LUT shared by every gate request, built once per
+    /// executor instead of once per gate.
     gate_lut: Lut,
-    admission_threshold_sigmas: f64,
 }
 
 impl MultiTenantExecutor {
@@ -575,41 +459,33 @@ impl MultiTenantExecutor {
         Self::with_threads(registry, 1)
     }
 
-    /// Wraps a key registry with an intra-epoch thread budget (clamped
-    /// to at least 1). The kernel policy follows the registry's shared
-    /// parameter set, exactly like [`TfheExecutor::with_threads`].
+    /// Wraps a key registry with an intra-epoch thread budget: each
+    /// epoch's PBS jobs are sharded across up to `threads` scoped
+    /// threads sharing the bootstrapping key, bit-identically to the
+    /// sequential path. `threads` is clamped to at least 1.
+    ///
+    /// The kernel policy follows the registry's parameter set: multi-bit
+    /// parameters route every class through the grouped kernel,
+    /// classical ones through the classical kernel. Use
+    /// [`Self::with_policy`] to override per class.
     pub fn with_threads(registry: Arc<KeyRegistry>, threads: usize) -> Self {
         let policy = KernelPolicy::uniform(registry.params().pbs_kernel);
         Self::with_policy(registry, threads, policy)
     }
 
     /// Wraps a key registry with an explicit per-class kernel policy.
+    /// Classes the policy routes to a kernel whose key material the
+    /// server key does not carry fall back to the classical kernel
+    /// (always present).
     pub fn with_policy(registry: Arc<KeyRegistry>, threads: usize, policy: KernelPolicy) -> Self {
         let gate_lut = gate_sign_lut(registry.params().polynomial_size);
-        Self {
-            registry,
-            threads: threads.max(1),
-            policy,
-            gate_lut,
-            admission_threshold_sigmas: crate::analyzer::DEFAULT_THRESHOLD_SIGMAS,
-        }
-    }
-
-    /// Overrides the admission threshold (see
-    /// [`TfheExecutor::with_admission_threshold`]).
-    pub fn with_admission_threshold(mut self, sigmas: f64) -> Self {
-        self.admission_threshold_sigmas = sigmas;
-        self
-    }
-
-    /// The shared registry this executor resolves epoch keys from.
-    pub fn registry(&self) -> &Arc<KeyRegistry> {
-        &self.registry
+        Self { registry, threads: threads.max(1), policy, gate_lut }
     }
 
     /// The kernel `class` executes with under the registry's shared
-    /// parameter set: every tenant's key is generated from the same
-    /// parameters, so the effective kernel is uniform across tenants.
+    /// parameter set (every tenant's key is generated from the same
+    /// parameters): the grouped kernel when the policy selects it and
+    /// the parameters carry it, the classical kernel otherwise.
     fn effective_kernel(&self, class: RequestClass) -> PbsKernel {
         match (self.policy.kernel_for(class), self.registry.params().pbs_kernel) {
             (PbsKernel::MultiBit { .. }, actual @ PbsKernel::MultiBit { .. }) => actual,
@@ -664,14 +540,14 @@ impl BatchExecutor for MultiTenantExecutor {
     }
 
     fn admission(&self) -> Option<AdmissionPolicy> {
+        // The policy resolves each class's *effective* kernel (the one
+        // the epoch loop will dispatch to), so the analyzer predicts
+        // exactly what execution does — including classical fallback.
         let mut effective = KernelPolicy::uniform(self.effective_kernel(RequestClass::Gate));
         for class in RequestClass::ALL {
             effective = effective.with_class(class, self.effective_kernel(class));
         }
-        Some(
-            AdmissionPolicy::new(self.registry.params().clone(), effective)
-                .with_threshold(self.admission_threshold_sigmas),
-        )
+        Some(AdmissionPolicy::new(self.registry.params().clone(), effective))
     }
 
     fn fft_backend(&self) -> Option<String> {
@@ -695,12 +571,23 @@ mod tests {
         Request::new(ClientId(client), seq, SpanId(seq), ct, op)
     }
 
+    fn pinned(server: Arc<ServerKey>) -> Arc<KeyRegistry> {
+        Arc::new(KeyRegistry::pinned(server))
+    }
+
+    impl MultiTenantExecutor {
+        /// The kernel policy this executor dispatches with.
+        fn kernel_policy(&self) -> KernelPolicy {
+            self.policy
+        }
+    }
+
     #[test]
     fn mixed_epoch_executes_all_op_kinds() {
         let params = TfheParameters::testing_fast();
         let (mut client, server) = generate_keys(&params, 42);
         let server = Arc::new(server);
-        let exec = TfheExecutor::new(Arc::clone(&server));
+        let exec = MultiTenantExecutor::new(pinned(Arc::clone(&server)));
         let p = 2u32;
         let lut = Arc::new(Lut::from_function(params.polynomial_size, p, |m| (m + 1) % 4).unwrap());
 
@@ -755,8 +642,8 @@ mod tests {
                 request(i, 0, ct, RequestOp::Lut(Arc::clone(&lut)))
             })
             .collect();
-        let sequential = TfheExecutor::new(Arc::clone(&server)).execute(&batch);
-        let threaded = TfheExecutor::with_threads(Arc::clone(&server), 2);
+        let sequential = MultiTenantExecutor::new(pinned(Arc::clone(&server))).execute(&batch);
+        let threaded = MultiTenantExecutor::with_threads(pinned(Arc::clone(&server)), 2);
         assert_eq!(threaded.planned_threads(batch.len()), 2);
         assert_eq!(threaded.planned_threads(1), 1);
         assert_eq!(threaded.max_threads(), 2);
@@ -771,7 +658,7 @@ mod tests {
         let params = TfheParameters::testing_fast();
         let (mut client, server) = generate_keys(&params, 45);
         let server = Arc::new(server);
-        let exec = TfheExecutor::new(Arc::clone(&server));
+        let exec = MultiTenantExecutor::new(pinned(Arc::clone(&server)));
         let p = 2u32;
         let lut = Arc::new(Lut::from_function(params.polynomial_size, p, |m| (m + 1) % 4).unwrap());
         let batch: Vec<Request> = (0..3u64)
@@ -807,7 +694,7 @@ mod tests {
         let params = TfheParameters::testing_fast();
         let (mut client, server) = generate_keys(&params, 46);
         let server = Arc::new(server);
-        let exec = TfheExecutor::new(Arc::clone(&server));
+        let exec = MultiTenantExecutor::new(pinned(Arc::clone(&server)));
         let p = 2u32;
         let big = server
             .bootstrap_key()
@@ -828,7 +715,7 @@ mod tests {
         let params = TfheParameters::testing_fast();
         let (mut client, server) = generate_keys(&params, 77);
         let server = Arc::new(server);
-        let exec = TfheExecutor::new(Arc::clone(&server));
+        let exec = MultiTenantExecutor::new(pinned(Arc::clone(&server)));
         for gate in BinaryGate::ALL {
             for bits in 0..4u8 {
                 let (x, y) = (bits & 1 != 0, bits & 2 != 0);
@@ -853,7 +740,7 @@ mod tests {
     fn linear_lut_request_fuses_weighted_sum_and_lut() {
         let params = TfheParameters::testing_fast();
         let (mut client, server) = generate_keys(&params, 78);
-        let exec = TfheExecutor::new(Arc::new(server));
+        let exec = MultiTenantExecutor::new(pinned(Arc::new(server)));
         let p = 3u32;
         // A toy neuron: 2·m0 + m1 + 1, clamped by an identity LUT over
         // the 3-bit space (sum stays below 8, no wrap).
@@ -879,7 +766,7 @@ mod tests {
     fn linear_preamble_arity_mismatch_fails_the_request_alone() {
         let params = TfheParameters::testing_fast();
         let (mut client, server) = generate_keys(&params, 79);
-        let exec = TfheExecutor::new(Arc::new(server));
+        let exec = MultiTenantExecutor::new(pinned(Arc::new(server)));
         let p = 2u32;
         let lut = Arc::new(Lut::from_function(params.polynomial_size, p, |m| m).unwrap());
         let good_ct = client.encrypt_shortint(1, p).unwrap().as_lwe().clone();
@@ -917,7 +804,7 @@ mod tests {
             .collect();
 
         // The default policy follows the parameter set: multi-bit.
-        let grouped = TfheExecutor::new(Arc::clone(&server));
+        let grouped = MultiTenantExecutor::new(pinned(Arc::clone(&server)));
         assert_eq!(
             grouped.kernel_policy().kernel_for(RequestClass::Lut),
             PbsKernel::MultiBit { grouping_factor: 2 }
@@ -927,8 +814,8 @@ mod tests {
         // Forcing the classical kernel on the same server key must
         // yield the same decoded messages (the kernels are
         // decrypt-identical, not bit-identical).
-        let classical = TfheExecutor::with_policy(
-            Arc::clone(&server),
+        let classical = MultiTenantExecutor::with_policy(
+            pinned(Arc::clone(&server)),
             1,
             KernelPolicy::uniform(PbsKernel::Classical),
         );
@@ -958,7 +845,7 @@ mod tests {
         let policy = KernelPolicy::uniform(PbsKernel::Classical)
             .with_class(RequestClass::Lut, PbsKernel::MultiBit { grouping_factor: 2 });
         assert_eq!(policy.default_kernel(), PbsKernel::Classical);
-        let exec = TfheExecutor::with_policy(Arc::clone(&server), 1, policy);
+        let exec = MultiTenantExecutor::with_policy(pinned(Arc::clone(&server)), 1, policy);
         let batch = vec![
             request(
                 0,
@@ -1002,8 +889,8 @@ mod tests {
         assert_eq!(fallback.kernel(), PbsKernel::Classical);
         let p = 2u32;
         let lut = Arc::new(Lut::from_function(params.polynomial_size, p, |m| m).unwrap());
-        let exec = TfheExecutor::with_policy(
-            Arc::clone(&server),
+        let exec = MultiTenantExecutor::with_policy(
+            pinned(Arc::clone(&server)),
             1,
             KernelPolicy::uniform(PbsKernel::MultiBit { grouping_factor: 2 }),
         );
@@ -1018,7 +905,7 @@ mod tests {
     fn malformed_request_fails_alone_not_the_epoch() {
         let params = TfheParameters::testing_fast();
         let (mut client, server) = generate_keys(&params, 43);
-        let exec = TfheExecutor::new(Arc::new(server));
+        let exec = MultiTenantExecutor::new(pinned(Arc::new(server)));
         let p = 2u32;
         let lut = Arc::new(Lut::from_function(params.polynomial_size, p, |m| m).unwrap());
 

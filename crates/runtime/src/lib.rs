@@ -47,15 +47,15 @@
 //! ```
 //! use std::sync::Arc;
 //! use strix_core::BatchGeometry;
-//! use strix_runtime::{RequestOp, Runtime, RuntimeConfig, TfheExecutor};
+//! use strix_runtime::{KeyRegistry, RequestOp, Runtime, RuntimeConfig};
 //! use strix_tfhe::bootstrap::Lut;
 //! use strix_tfhe::prelude::*;
 //!
 //! let params = TfheParameters::testing_fast();
 //! let (mut key, server) = generate_keys(&params, 1);
-//! let runtime = Runtime::start(
+//! let runtime = Runtime::start_multi_tenant(
 //!     RuntimeConfig::new(BatchGeometry::explicit(2, 2)),
-//!     TfheExecutor::new(Arc::new(server)),
+//!     Arc::new(KeyRegistry::pinned(Arc::new(server))),
 //! );
 //! let relu = Arc::new(
 //!     Lut::from_function(params.polynomial_size, 3, |m| if m < 4 { m } else { 0 }).unwrap(),
@@ -94,9 +94,7 @@ pub mod worker;
 
 pub use analyzer::{AdmissionPolicy, ProgramAnalysis, WireReport, DEFAULT_THRESHOLD_SIGMAS};
 pub use error::RuntimeError;
-pub use executor::{
-    BatchExecutor, EpochExecution, KernelPolicy, MultiTenantExecutor, TfheExecutor,
-};
+pub use executor::{BatchExecutor, EpochExecution, KernelPolicy, MultiTenantExecutor};
 pub use metrics::{
     ClassLatency, MetricsSink, MetricsWindow, PbsStageBreakdown, RequestRecord, RuntimeReport,
     REPORT_SCHEMA_VERSION,

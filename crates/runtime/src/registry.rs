@@ -111,6 +111,16 @@ impl KeyRegistry {
         Self::new(params, budget)
     }
 
+    /// A single-tenant registry: `key` pinned under
+    /// [`TenantId::default()`] (the tenant of
+    /// [`Runtime::client`](crate::Runtime::client) handles), with a
+    /// budget of exactly that one key.
+    pub fn pinned(key: Arc<ServerKey>) -> Self {
+        let registry = Self::with_resident_keys(key.params().clone(), 1);
+        registry.register_server_key(TenantId::default(), key);
+        registry
+    }
+
     /// The shared parameter set.
     pub fn params(&self) -> &TfheParameters {
         &self.params
@@ -298,5 +308,18 @@ mod tests {
         assert!(Arc::ptr_eq(&pinned, &again), "pinned key stays resident");
         assert_eq!(registry.stats().evictions, 0);
         assert_eq!(registry.stats().resident_bytes, 2 * registry.key_bytes_per_tenant());
+    }
+
+    #[test]
+    fn pinned_registry_serves_one_key_under_the_default_tenant() {
+        let (_, server) = generate_keys(&params(), 41);
+        let server = Arc::new(server);
+        let registry = KeyRegistry::pinned(Arc::clone(&server));
+        let resolved = registry.resolve(TenantId::default()).expect("default tenant pinned");
+        assert!(Arc::ptr_eq(&server, &resolved), "the pinned key itself, never a copy");
+        assert!(registry.resolve(TenantId(1)).is_none(), "no other tenant");
+        let stats = registry.stats();
+        assert_eq!((stats.tenants_registered, stats.hits, stats.misses), (1, 1, 0));
+        assert_eq!(stats.resident_bytes, stats.budget_bytes);
     }
 }

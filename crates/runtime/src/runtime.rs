@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -14,7 +14,7 @@ use strix_tfhe::lwe::LweCiphertext;
 use crate::analyzer::AdmissionPolicy;
 use crate::batcher;
 use crate::error::RuntimeError;
-use crate::executor::{BatchExecutor, KernelPolicy};
+use crate::executor::{BatchExecutor, MultiTenantExecutor};
 use crate::metrics::{MetricsSink, RuntimeReport};
 use crate::policy::FlushPolicy;
 use crate::queue::BoundedQueue;
@@ -35,9 +35,9 @@ pub struct RuntimeConfig {
     /// Intra-epoch threads each worker's executor may use: an epoch's
     /// PBS jobs are sharded across up to this many scoped threads
     /// (bit-identical to sequential execution). Honoured by
-    /// [`Runtime::start_tfhe`]; custom executors receive it via
-    /// [`TfheExecutor::with_threads`](crate::executor::TfheExecutor::with_threads)-style
-    /// constructors.
+    /// [`Runtime::start_multi_tenant`]; executors passed to
+    /// [`Runtime::start`] take their thread budget at construction
+    /// ([`MultiTenantExecutor::with_threads`]).
     pub threads_per_worker: usize,
     /// Ingress queue depth, in requests (backpressure bound).
     pub ingress_depth: usize,
@@ -49,13 +49,6 @@ pub struct RuntimeConfig {
     /// single-threaded, so with `threads_per_worker > 1` this trades a
     /// sliver of throughput for attribution.
     pub profile_every: u64,
-    /// Per-request-class PBS kernel selection for [`Runtime::start_tfhe`].
-    /// `None` (the default) follows the server key's parameter set:
-    /// multi-bit parameters route everything through the grouped
-    /// kernel, classical parameters through the classical one. Classes
-    /// routed to a kernel whose key material is absent fall back to
-    /// the classical kernel.
-    pub kernel_policy: Option<KernelPolicy>,
 }
 
 impl RuntimeConfig {
@@ -71,7 +64,6 @@ impl RuntimeConfig {
             ingress_depth: geometry.epoch_size() * 4,
             trace: TraceConfig::default(),
             profile_every: 16,
-            kernel_policy: None,
         }
     }
 
@@ -99,32 +91,31 @@ impl RuntimeConfig {
     pub fn with_profile_every(self, profile_every: u64) -> Self {
         Self { profile_every, ..self }
     }
-
-    /// Overrides the per-request-class PBS kernel policy used by
-    /// [`Runtime::start_tfhe`].
-    pub fn with_kernel_policy(self, kernel_policy: KernelPolicy) -> Self {
-        Self { kernel_policy: Some(kernel_policy), ..self }
-    }
 }
 
 /// The streaming runtime: accepts tagged requests from many concurrent
 /// clients, forms `TvLP × core_batch` epochs with a deadline/size
 /// hybrid policy, and executes them on a worker pool.
 ///
+/// Two entry points: [`Runtime::start_multi_tenant`] serves TFHE
+/// requests from a [`KeyRegistry`] (a single-tenant service passes
+/// [`KeyRegistry::pinned`]), and [`Runtime::start`] runs any other
+/// [`BatchExecutor`].
+///
 /// # Example
 ///
 /// ```
 /// use std::sync::Arc;
 /// use strix_core::BatchGeometry;
-/// use strix_runtime::{Runtime, RuntimeConfig, RequestOp, TfheExecutor};
+/// use strix_runtime::{KeyRegistry, Runtime, RuntimeConfig, RequestOp};
 /// use strix_tfhe::bootstrap::Lut;
 /// use strix_tfhe::prelude::*;
 ///
 /// let params = TfheParameters::testing_fast();
 /// let (mut client_key, server_key) = generate_keys(&params, 7);
-/// let runtime = Runtime::start(
+/// let runtime = Runtime::start_multi_tenant(
 ///     RuntimeConfig::new(BatchGeometry::explicit(2, 4)),
-///     TfheExecutor::new(Arc::new(server_key)),
+///     Arc::new(KeyRegistry::pinned(Arc::new(server_key))),
 /// );
 ///
 /// let lut = Arc::new(Lut::from_function(params.polynomial_size, 2, |m| (m + 1) % 4).unwrap());
@@ -149,9 +140,9 @@ pub struct Runtime {
     /// The executor's resolved SIMD kernel backend label, captured once
     /// at start-up; empty for synthetic executors.
     fft_backend: String,
-    /// The multi-tenant key registry, when this runtime was started
-    /// through [`Self::start_multi_tenant`]: its cache counters are
-    /// folded into every report.
+    /// The key registry, when this runtime was started through
+    /// [`Self::start_multi_tenant`]: its cache counters are folded into
+    /// every report.
     key_registry: Option<Arc<KeyRegistry>>,
     epoch_capacity: usize,
     next_client: AtomicU64,
@@ -160,59 +151,11 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Starts the batcher and worker threads.
+    /// Starts the batcher and worker threads over `executor` — a
+    /// custom or synthetic back-end, or a [`MultiTenantExecutor`] built
+    /// with a non-default kernel policy.
     pub fn start(config: RuntimeConfig, executor: impl BatchExecutor) -> Self {
-        Self::start_dyn(config, Arc::new(executor))
-    }
-
-    /// Starts a runtime over the TFHE back-end, honouring the config's
-    /// `threads_per_worker` and `kernel_policy`: shorthand for
-    /// [`Self::start`] with
-    /// [`TfheExecutor::with_threads`](crate::executor::TfheExecutor::with_threads)
-    /// (or
-    /// [`TfheExecutor::with_policy`](crate::executor::TfheExecutor::with_policy)
-    /// when a kernel policy is set).
-    pub fn start_tfhe(config: RuntimeConfig, server: Arc<strix_tfhe::ServerKey>) -> Self {
-        let executor = match config.kernel_policy {
-            Some(policy) => crate::executor::TfheExecutor::with_policy(
-                server,
-                config.threads_per_worker,
-                policy,
-            ),
-            None => crate::executor::TfheExecutor::with_threads(server, config.threads_per_worker),
-        };
-        Self::start(config, executor)
-    }
-
-    /// Starts a multi-tenant runtime over a shared [`KeyRegistry`],
-    /// honouring the config's `threads_per_worker` and `kernel_policy`
-    /// exactly like [`Self::start_tfhe`]. The batcher partitions its
-    /// open window by tenant — epochs never mix key domains — and each
-    /// worker resolves the epoch tenant's server key from the registry
-    /// (expanding the seeded transport form on first use, under the
-    /// registry's LRU residency budget) and pins it for the epoch's
-    /// whole PBS+KS run. Open per-tenant streams with
-    /// [`Self::client_for`]; the registry's cache counters appear in
-    /// every [`RuntimeReport`].
-    pub fn start_multi_tenant(config: RuntimeConfig, registry: Arc<KeyRegistry>) -> Self {
-        let executor = match config.kernel_policy {
-            Some(policy) => crate::executor::MultiTenantExecutor::with_policy(
-                Arc::clone(&registry),
-                config.threads_per_worker,
-                policy,
-            ),
-            None => crate::executor::MultiTenantExecutor::with_threads(
-                Arc::clone(&registry),
-                config.threads_per_worker,
-            ),
-        };
-        let mut runtime = Self::start(config, executor);
-        runtime.key_registry = Some(registry);
-        runtime
-    }
-
-    /// As [`Self::start`], for an already-shared executor.
-    pub fn start_dyn(config: RuntimeConfig, executor: Arc<dyn BatchExecutor>) -> Self {
+        let executor: Arc<dyn BatchExecutor> = Arc::new(executor);
         let policy = FlushPolicy::from_geometry(config.geometry, config.max_delay);
         let ingress = Arc::new(BoundedQueue::new(config.ingress_depth.max(1)));
         // Enough in-flight epochs to keep every worker busy plus one
@@ -270,6 +213,24 @@ impl Runtime {
         }
     }
 
+    /// Starts a TFHE runtime over a shared [`KeyRegistry`] through a
+    /// [`MultiTenantExecutor`] with the config's `threads_per_worker`
+    /// and the kernel the registry's parameter set selects. The batcher
+    /// partitions its open window by tenant — epochs never mix key
+    /// domains — and each worker resolves the epoch tenant's server key
+    /// from the registry (expanding the seeded transport form on first
+    /// use, under the registry's LRU residency budget) and pins it for
+    /// the epoch's whole PBS+KS run. Open per-tenant streams with
+    /// [`Self::client_for`]; the registry's cache counters appear in
+    /// every [`RuntimeReport`].
+    pub fn start_multi_tenant(config: RuntimeConfig, registry: Arc<KeyRegistry>) -> Self {
+        let executor =
+            MultiTenantExecutor::with_threads(Arc::clone(&registry), config.threads_per_worker);
+        let mut runtime = Self::start(config, executor);
+        runtime.key_registry = Some(registry);
+        runtime
+    }
+
     /// Opens a new client stream under the default (single-tenant) key
     /// domain. Handles are independent and may move to their own
     /// threads.
@@ -309,27 +270,7 @@ impl Runtime {
 
     /// A live snapshot of the metrics without shutting down.
     pub fn report(&self) -> RuntimeReport {
-        let mut report = self.metrics.report(self.epoch_capacity);
-        report.ingress_queue_depth = self.ingress.len();
-        report.ingress_queue_high_water = self.ingress.high_water();
-        report.fft_backend = self.fft_backend.clone();
-        self.fill_key_cache_stats(&mut report);
-        report
-    }
-
-    /// Folds the key registry's cache counters into a report (a no-op
-    /// on single-tenant runtimes, whose reports keep the zero
-    /// defaults).
-    fn fill_key_cache_stats(&self, report: &mut RuntimeReport) {
-        if let Some(registry) = &self.key_registry {
-            let stats = registry.stats();
-            report.tenants_registered = stats.tenants_registered;
-            report.key_cache_hits = stats.hits;
-            report.key_cache_misses = stats.misses;
-            report.key_cache_evictions = stats.evictions;
-            report.key_cache_resident_bytes = stats.resident_bytes;
-            report.key_cache_budget_bytes = stats.budget_bytes;
-        }
+        self.finish_report(0)
     }
 
     /// Drains and stops the runtime: the ingress closes (further
@@ -340,10 +281,26 @@ impl Runtime {
         // queue; the final depth is, by construction, zero.
         let high_water = self.ingress.high_water();
         self.drain_and_join();
+        self.finish_report(high_water)
+    }
+
+    /// Snapshots the metrics and adds the runtime-level fields: the
+    /// ingress gauges (the high-water mark at least `high_water`), the
+    /// kernel backend label and the key registry's cache counters.
+    fn finish_report(&self, high_water: usize) -> RuntimeReport {
         let mut report = self.metrics.report(self.epoch_capacity);
+        report.ingress_queue_depth = self.ingress.len();
         report.ingress_queue_high_water = high_water.max(self.ingress.high_water());
         report.fft_backend = self.fft_backend.clone();
-        self.fill_key_cache_stats(&mut report);
+        if let Some(registry) = &self.key_registry {
+            let stats = registry.stats();
+            report.tenants_registered = stats.tenants_registered;
+            report.key_cache_hits = stats.hits;
+            report.key_cache_misses = stats.misses;
+            report.key_cache_evictions = stats.evictions;
+            report.key_cache_resident_bytes = stats.resident_bytes;
+            report.key_cache_budget_bytes = stats.budget_bytes;
+        }
         report
     }
 
@@ -441,16 +398,7 @@ impl ClientHandle {
     /// Returns [`RuntimeError::Shutdown`] when the runtime stopped
     /// before producing it.
     pub fn recv(&mut self) -> Result<Response, RuntimeError> {
-        loop {
-            if let Some(response) = self.reorder.remove(&self.next_recv) {
-                self.next_recv += 1;
-                return Ok(response);
-            }
-            match self.rx.recv() {
-                Ok(response) => self.buffer(response),
-                Err(_) => return Err(RuntimeError::Shutdown),
-            }
-        }
+        self.next_in_order(|rx| rx.recv().map_err(|_| RuntimeError::Shutdown))
     }
 
     /// As [`Self::recv`] with a time limit.
@@ -461,34 +409,34 @@ impl ClientHandle {
     /// when the runtime stopped.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Response, RuntimeError> {
         let deadline = Instant::now() + timeout;
+        self.next_in_order(|rx| {
+            let left = deadline.saturating_duration_since(Instant::now());
+            rx.recv_timeout(left).map_err(|e| match e {
+                RecvTimeoutError::Timeout => RuntimeError::Lost,
+                RecvTimeoutError::Disconnected => RuntimeError::Shutdown,
+            })
+        })
+    }
+
+    /// Non-blocking receive of the next in-order response, if ready.
+    pub fn try_recv(&mut self) -> Option<Response> {
+        self.next_in_order(Receiver::try_recv).ok()
+    }
+
+    /// Pops the next in-order response from the reorder buffer, pulling
+    /// responses off the channel with `pull` until it arrives; `pull`'s
+    /// error ends the wait.
+    fn next_in_order<E>(
+        &mut self,
+        mut pull: impl FnMut(&Receiver<Response>) -> Result<Response, E>,
+    ) -> Result<Response, E> {
         loop {
             if let Some(response) = self.reorder.remove(&self.next_recv) {
                 self.next_recv += 1;
                 return Ok(response);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RuntimeError::Lost);
-            }
-            match self.rx.recv_timeout(deadline - now) {
-                Ok(response) => self.buffer(response),
-                Err(RecvTimeoutError::Timeout) => return Err(RuntimeError::Lost),
-                Err(RecvTimeoutError::Disconnected) => return Err(RuntimeError::Shutdown),
-            }
-        }
-    }
-
-    /// Non-blocking receive of the next in-order response, if ready.
-    pub fn try_recv(&mut self) -> Option<Response> {
-        loop {
-            if let Some(response) = self.reorder.remove(&self.next_recv) {
-                self.next_recv += 1;
-                return Some(response);
-            }
-            match self.rx.try_recv() {
-                Ok(response) => self.buffer(response),
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => return None,
-            }
+            let response = pull(&self.rx)?;
+            self.buffer(response);
         }
     }
 

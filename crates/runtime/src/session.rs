@@ -208,8 +208,8 @@ impl Program {
     /// node runs in submission order through the same linear-preamble
     /// → bootstrap → keyswitch pipeline as the streamed path, so the
     /// outputs are bit-identical to a [`ProgramSession`] run against a
-    /// [`TfheExecutor`](crate::executor::TfheExecutor) built on the
-    /// same key.
+    /// [`MultiTenantExecutor`](crate::executor::MultiTenantExecutor)
+    /// serving the same key.
     ///
     /// # Errors
     ///
@@ -309,15 +309,15 @@ impl Program {
 /// use std::sync::Arc;
 /// use strix_core::BatchGeometry;
 /// use strix_runtime::session::{Program, ProgramSession, Wire};
-/// use strix_runtime::{Runtime, RuntimeConfig, TfheExecutor};
+/// use strix_runtime::{KeyRegistry, Runtime, RuntimeConfig};
 /// use strix_tfhe::boolean::BinaryGate;
 /// use strix_tfhe::prelude::*;
 ///
 /// let params = TfheParameters::testing_fast();
 /// let (mut client_key, server_key) = generate_keys(&params, 11);
-/// let runtime = Runtime::start(
+/// let runtime = Runtime::start_multi_tenant(
 ///     RuntimeConfig::new(BatchGeometry::explicit(2, 2)),
-///     TfheExecutor::new(Arc::new(server_key)),
+///     Arc::new(KeyRegistry::pinned(Arc::new(server_key))),
 /// );
 ///
 /// // half adder: sum = a XOR b, carry = a AND b

@@ -8,12 +8,13 @@
 //! per-client sequencing at the receive side.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::error::RuntimeError;
-use crate::executor::BatchExecutor;
+use crate::executor::{BatchExecutor, EpochExecution};
 use crate::metrics::{MetricsSink, RequestRecord};
 use crate::queue::BoundedQueue;
 use crate::request::{ClientId, Epoch, Response};
@@ -72,7 +73,12 @@ pub(crate) fn run(
         // shared counter) runs the probed production kernel and feeds
         // the per-stage breakdown. 0 disables sampling entirely.
         let profiled = profile_every > 0 && epoch.id % profile_every == 0;
-        let execution = executor.execute_epoch(&epoch.requests, profiled);
+        // A panicking executor fails its epoch, not the worker: the
+        // empty result list answers every request with `Lost` below,
+        // and the loop goes on serving.
+        let execution =
+            catch_unwind(AssertUnwindSafe(|| executor.execute_epoch(&epoch.requests, profiled)))
+                .unwrap_or_else(|_| EpochExecution::from_results(Vec::new()));
         if let Some((timings, pbs_jobs)) = &execution.stage_sample {
             metrics.record_stage_sample(timings, *pbs_jobs);
         }
@@ -101,8 +107,8 @@ pub(crate) fn run(
         let mut results: Vec<Result<_, RuntimeError>> =
             execution.results.into_iter().map(|r| r.map_err(RuntimeError::Tfhe)).collect();
         // An executor that breaks its one-result-per-request contract
-        // must not strand clients: surplus results are dropped, missing
-        // ones surface as explicit losses.
+        // (or panicked) must not strand clients: surplus results are
+        // dropped, missing ones surface as explicit losses.
         results.truncate(expected);
         results.resize_with(expected, || Err(RuntimeError::Lost));
         for (request, result) in epoch.requests.into_iter().zip(results) {

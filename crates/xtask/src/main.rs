@@ -1,7 +1,7 @@
 //! Repository-invariant linter: `cargo run -p xtask -- lint`.
 //!
 //! Machine-checks the invariants the codebase otherwise enforces only
-//! by reviewer memory. Five checks, each with a test fixture proving it
+//! by convention. Six checks, each with a test fixture proving it
 //! fires on a seeded violation:
 //!
 //! 1. **hot-path-alloc** — no allocation calls (`Vec::new`, `vec!`,
@@ -27,6 +27,10 @@
 //!    feature-gated intrinsics make it unavoidable), and every use
 //!    there is justified by a `// SAFETY:` comment on the same line or
 //!    in the comment block immediately above.
+//! 6. **epoch-containment** — outside `executor.rs`, every non-test
+//!    `.execute_epoch(` call under `crates/runtime/src/` sits in a
+//!    function that also calls `catch_unwind`, so a panicking executor
+//!    fails its epoch instead of killing the worker thread.
 //!
 //! Allow-comments are per-check: `lint:allow(panic)`,
 //! `lint:allow(alloc)` and `lint:allow(unsafe)`. The reason text is
@@ -50,6 +54,13 @@ const HOT_PATH_FILES: &[&str] = &["crates/tfhe/src/bootstrap.rs", "crates/fft/sr
 
 /// Allocation-call spellings forbidden inside hot-path regions.
 const ALLOC_TOKENS: &[&str] = &["Vec::new", "vec!", ".to_vec()", ".collect()", "Box::new"];
+
+/// Where epochs run: `.execute_epoch(` calls here must be contained.
+const EPOCH_SCAN_ROOT: &str = "crates/runtime/src";
+
+/// The executor module is exempt: its `execute` delegates to its own
+/// `execute_epoch`, which is what the containment wraps.
+const EPOCH_EXEMPT_FILE: &str = "executor.rs";
 
 const HOT_PATH_START: &str = "lint:hot-path-start";
 const HOT_PATH_END: &str = "lint:hot-path-end";
@@ -206,6 +217,7 @@ fn run_lint(root: &Path) -> Vec<Finding> {
     findings.extend(check_serde_defaults(root));
     findings.extend(check_lint_headers(root));
     findings.extend(check_unsafe_hygiene(root));
+    findings.extend(check_epoch_containment(root));
     findings
 }
 
@@ -666,16 +678,16 @@ fn check_lint_headers(root: &Path) -> Vec<Finding> {
 /// backends, where feature-gated intrinsics make it unavoidable.
 const UNSAFE_ALLOWED_DIR: &str = "crates/fft/src/backend";
 
-/// Whether `code` contains the `unsafe` keyword. Word-boundary match,
+/// Whether `code` contains the keyword `word`. Word-boundary match,
 /// so identifiers like `unsafe_code` (in an `allow` attribute) do not
 /// trip it; `code` has comments and strings already blanked.
-fn has_unsafe_keyword(code: &str) -> bool {
+fn has_keyword(code: &str, word: &str) -> bool {
     let bytes = code.as_bytes();
     let boundary = |b: u8| !(b.is_ascii_alphanumeric() || b == b'_');
     let mut from = 0;
-    while let Some(pos) = code[from..].find("unsafe") {
+    while let Some(pos) = code[from..].find(word) {
         let i = from + pos;
-        let end = i + "unsafe".len();
+        let end = i + word.len();
         if (i == 0 || boundary(bytes[i - 1])) && (end == bytes.len() || boundary(bytes[end])) {
             return true;
         }
@@ -722,7 +734,7 @@ fn check_unsafe_hygiene(root: &Path) -> Vec<Finding> {
         let lines = scan_file(&source);
         let in_backend = path.starts_with(&allowed_dir);
         for (idx, line) in lines.iter().enumerate() {
-            if !has_unsafe_keyword(&line.code) || allowed(&lines, idx, "unsafe") {
+            if !has_keyword(&line.code, "unsafe") || allowed(&lines, idx, "unsafe") {
                 continue;
             }
             if !in_backend {
@@ -747,6 +759,78 @@ fn check_unsafe_hygiene(root: &Path) -> Vec<Finding> {
         }
     }
     findings
+}
+
+// ---------------------------------------------------------------------------
+// Check 6: epoch execution only through panic containment
+// ---------------------------------------------------------------------------
+
+fn check_epoch_containment(root: &Path) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for path in rust_files(&root.join(EPOCH_SCAN_ROOT)) {
+        if path.file_name().is_some_and(|n| n == EPOCH_EXEMPT_FILE) {
+            continue;
+        }
+        let Ok(source) = fs::read_to_string(&path) else { continue };
+        let lines = scan_file(&source);
+        for (idx, line) in lines.iter().enumerate() {
+            if line.in_test || !line.code.contains(".execute_epoch(") {
+                continue;
+            }
+            let contained = enclosing_fn(&lines, idx).is_some_and(|(start, end)| {
+                lines[start..=end].iter().any(|l| l.code.contains("catch_unwind"))
+            });
+            if !contained {
+                findings.push(Finding {
+                    file: path.clone(),
+                    line: line.number,
+                    check: "epoch-containment",
+                    message: "`.execute_epoch(` in a function that never calls `catch_unwind`: \
+                              an executor panic would kill the worker thread"
+                        .into(),
+                });
+            }
+        }
+    }
+    findings
+}
+
+/// The line range of the innermost `fn` item whose body spans line
+/// `idx`: the nearest `fn` header above it whose brace-matched body
+/// reaches past it.
+fn enclosing_fn(lines: &[ScanLine], idx: usize) -> Option<(usize, usize)> {
+    (0..=idx).rev().filter(|&i| has_keyword(&lines[i].code, "fn")).find_map(|start| {
+        let end = body_end(lines, start)?;
+        (end >= idx).then_some((start, end))
+    })
+}
+
+/// The line closing the body of the `fn` whose header is on line
+/// `start`; `None` for a body-less declaration (a `;` outside brackets
+/// before any `{`).
+fn body_end(lines: &[ScanLine], start: usize) -> Option<usize> {
+    let (mut depth, mut nest, mut opened) = (0usize, 0usize, false);
+    for (j, line) in lines.iter().enumerate().skip(start) {
+        for c in line.code.chars() {
+            match c {
+                '{' => {
+                    depth += 1;
+                    opened = true;
+                }
+                '}' => {
+                    depth = depth.saturating_sub(1);
+                    if opened && depth == 0 {
+                        return Some(j);
+                    }
+                }
+                '(' | '[' => nest += 1,
+                ')' | ']' => nest = nest.saturating_sub(1),
+                ';' if !opened && nest == 0 => return None,
+                _ => {}
+            }
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------
@@ -1127,5 +1211,43 @@ mod tests {
              fn unsafe_sounding_name(x: u8) -> u8 { x }\n",
         );
         assert!(findings_for(&fix, "unsafe-hygiene").is_empty());
+    }
+
+    #[test]
+    fn uncontained_epoch_execution_is_flagged() {
+        let fix = Fixture::new("epoch-bare");
+        fix.write_clean_tree();
+        // A neighbouring function's `catch_unwind` does not cover the
+        // call, and a bracketed `;` in the signature is not a bodiless
+        // declaration.
+        fix.write(
+            "crates/runtime/src/worker.rs",
+            "fn guard() { let _ = catch_unwind(|| ()); }
+\
+             fn run(x: &X, b: [u8; 4]) {\n    let _ = x.execute_epoch(&b, false);\n}\n",
+        );
+        let findings = findings_for(&fix, "epoch-containment");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 3);
+        assert!(findings[0].message.contains("catch_unwind"));
+    }
+
+    #[test]
+    fn contained_epoch_execution_passes() {
+        let fix = Fixture::new("epoch-contained");
+        fix.write_clean_tree();
+        fix.write(
+            "crates/runtime/src/worker.rs",
+            "fn run(x: &X) {\n    let out =\n        catch_unwind(AssertUnwindSafe(|| \
+             x.execute_epoch(&[], false)));\n    let _ = out;\n}\n\
+             // x.execute_epoch( in a comment\n\
+             #[cfg(test)]\nmod tests {\n    fn t(x: &X) { x.execute_epoch(&[], true); }\n}\n",
+        );
+        // The executor module delegates to its own `execute_epoch`.
+        fix.write(
+            "crates/runtime/src/executor.rs",
+            "fn execute(&self) -> R {\n    self.execute_epoch(&[], false)\n}\n",
+        );
+        assert!(findings_for(&fix, "epoch-containment").is_empty());
     }
 }

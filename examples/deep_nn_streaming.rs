@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use strix::core::BatchGeometry;
 use strix::runtime::session::ProgramSession;
-use strix::runtime::{Runtime, RuntimeConfig, TfheExecutor};
+use strix::runtime::{KeyRegistry, Runtime, RuntimeConfig};
 use strix::tfhe::lwe::LweCiphertext;
 use strix::tfhe::prelude::*;
 use strix::workloads::nn::{ReluSchedule, RELU_ACTIVATION_MAX, RELU_MESSAGE_BITS};
@@ -43,11 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let params = TfheParameters::testing_fast();
     let (client_key, server_key) = generate_keys(&params, 0xDEE9);
-    let runtime = Runtime::start(
+    let runtime = Runtime::start_multi_tenant(
         RuntimeConfig::new(BatchGeometry::explicit(2, 8))
             .with_max_delay(Duration::from_millis(10))
             .with_workers(2),
-        TfheExecutor::new(Arc::new(server_key)),
+        Arc::new(KeyRegistry::pinned(Arc::new(server_key))),
     );
 
     println!(

@@ -22,7 +22,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use strix::core::{BatchGeometry, StrixConfig, StrixSimulator};
-use strix::runtime::{ArrivalProcess, OpenLoopTrafficGen, RequestOp, Runtime, RuntimeConfig};
+use strix::runtime::{
+    ArrivalProcess, KeyRegistry, OpenLoopTrafficGen, RequestOp, Runtime, RuntimeConfig,
+};
 use strix::tfhe::bootstrap::Lut;
 use strix::tfhe::prelude::*;
 
@@ -57,12 +59,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     const WORKERS: usize = 2;
     let threads_per_worker =
         std::thread::available_parallelism().map_or(1, |p| (p.get() / WORKERS).clamp(1, 2));
-    let runtime = Runtime::start_tfhe(
+    let runtime = Runtime::start_multi_tenant(
         RuntimeConfig::new(geometry)
             .with_max_delay(Duration::from_millis(5))
             .with_workers(WORKERS)
             .with_threads_per_worker(threads_per_worker),
-        Arc::new(server_key),
+        Arc::new(KeyRegistry::pinned(Arc::new(server_key))),
     );
 
     // Every request evaluates f(m) = (m + 3) mod 8 via one PBS + KS.

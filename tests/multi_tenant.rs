@@ -1,16 +1,15 @@
 //! Integration tests of the multi-tenant key fabric: concurrent
 //! per-tenant streams through the registry-backed runtime under an
-//! eviction-forcing residency budget, bit-compared against sequential
-//! single-tenant execution; clean failure for unregistered tenants;
-//! and the seeded-transport size guarantee onboarding relies on.
+//! eviction-forcing residency budget, bit-compared against direct
+//! bootstrap + keyswitch kernel calls; clean failure for unregistered
+//! tenants; and the seeded-transport size guarantee onboarding relies
+//! on.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use strix::core::BatchGeometry;
-use strix::runtime::{
-    BatchExecutor, KeyRegistry, RequestOp, Runtime, RuntimeConfig, TenantId, TfheExecutor,
-};
+use strix::runtime::{KeyRegistry, RequestOp, Runtime, RuntimeConfig, TenantId};
 use strix::tfhe::bootstrap::Lut;
 use strix::tfhe::lwe::LweCiphertext;
 use strix::tfhe::prelude::*;
@@ -32,8 +31,8 @@ fn concurrent_tenants_under_eviction_match_sequential_execution_bitwise() {
 
     // Two identical clients per tenant (same generation seed, so the
     // same RNG stream): one produces the seeded key the registry
-    // expands on demand, the other the reference key for sequential
-    // execution. Seeded expansion is deterministic, so both server
+    // expands on demand, the other the reference key for the direct
+    // kernel calls. Seeded expansion is deterministic, so both server
     // keys are bit-identical.
     let mut clients = Vec::new();
     let mut references = Vec::new();
@@ -46,27 +45,22 @@ fn concurrent_tenants_under_eviction_match_sequential_execution_bitwise() {
     }
 
     // Encrypt each tenant's inputs once and precompute the expected
-    // outputs by sequential per-tenant execution; PBS+KS is
-    // deterministic per request regardless of batch composition, so
-    // the streamed multi-tenant outputs must match these bit for bit.
+    // outputs with the kernels called directly, outside the runtime
+    // and its executor; PBS+KS is deterministic per request regardless
+    // of batch composition, so the streamed multi-tenant outputs must
+    // match these bit for bit.
     let mut inputs: Vec<Vec<LweCiphertext>> = Vec::new();
     let mut expected: Vec<Vec<LweCiphertext>> = Vec::new();
     for (t, client) in clients.iter_mut().enumerate() {
         let cts: Vec<LweCiphertext> = (0..PER_TENANT as u64)
             .map(|i| client.encrypt_shortint((i + t as u64) % 8, BITS).unwrap().as_lwe().clone())
             .collect();
-        let sequential = TfheExecutor::new(Arc::clone(&references[t]));
+        let reference = &references[t];
         let outs = cts
             .iter()
             .map(|ct| {
-                let batch = vec![strix::runtime::Request::new(
-                    strix::runtime::ClientId(0),
-                    0,
-                    strix::runtime::SpanId(0),
-                    ct.clone(),
-                    RequestOp::Lut(Arc::clone(&lut)),
-                )];
-                sequential.execute(&batch).pop().unwrap().unwrap()
+                let out = reference.bootstrap_key().bootstrap(ct, &lut).unwrap();
+                reference.keyswitch_key().keyswitch(&out).unwrap()
             })
             .collect();
         inputs.push(cts);

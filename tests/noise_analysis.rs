@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use strix::core::BatchGeometry;
 use strix::runtime::session::{Program, ProgramSession, Wire};
 use strix::runtime::{
-    AdmissionPolicy, KernelPolicy, Runtime, RuntimeConfig, RuntimeError, TfheExecutor,
+    AdmissionPolicy, KernelPolicy, KeyRegistry, Runtime, RuntimeConfig, RuntimeError,
     DEFAULT_THRESHOLD_SIGMAS,
 };
 use strix::tfhe::boolean::BinaryGate;
@@ -223,7 +223,8 @@ fn rejected_program_never_reaches_the_runtime() {
     let config = RuntimeConfig::new(BatchGeometry::explicit(2, 8))
         .with_max_delay(Duration::from_millis(5))
         .with_workers(1);
-    let runtime = Runtime::start(config, TfheExecutor::new(Arc::new(server)));
+    let runtime =
+        Runtime::start_multi_tenant(config, Arc::new(KeyRegistry::pinned(Arc::new(server))));
     let mut handle = runtime.client();
 
     // A weight of 2¹⁶ amplifies fresh noise ~2³² in variance — no

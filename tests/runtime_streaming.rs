@@ -1,14 +1,16 @@
 //! Integration tests of the streaming runtime: per-client ordering and
 //! correctness under bursty open-loop arrivals, batch occupancy under
-//! saturation, and lossless drain-on-shutdown.
+//! saturation, lossless drain-on-shutdown, and executor-panic
+//! containment.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use strix::core::BatchGeometry;
 use strix::runtime::{
-    ArrivalProcess, BatchExecutor, OpenLoopTrafficGen, Request, RequestOp, Runtime, RuntimeConfig,
-    TfheExecutor, TraceStage, REPORT_SCHEMA_VERSION,
+    ArrivalProcess, BatchExecutor, KeyRegistry, OpenLoopTrafficGen, Request, RequestOp, Runtime,
+    RuntimeConfig, RuntimeError, TraceStage, REPORT_SCHEMA_VERSION,
 };
 use strix::tfhe::bootstrap::Lut;
 use strix::tfhe::lwe::LweCiphertext;
@@ -37,11 +39,11 @@ fn bursty_multi_client_streams_stay_ordered_and_correct() {
 
     let params = TfheParameters::testing_fast();
     let (client_key, server_key) = generate_keys(&params, 0xB0257);
-    let runtime = Runtime::start(
+    let runtime = Runtime::start_multi_tenant(
         RuntimeConfig::new(BatchGeometry::explicit(2, 4))
             .with_max_delay(Duration::from_millis(3))
             .with_workers(3),
-        TfheExecutor::new(Arc::new(server_key)),
+        Arc::new(KeyRegistry::pinned(Arc::new(server_key))),
     );
     // Each client evaluates its own function, so a cross-client mixup
     // would also corrupt values, not just ordering.
@@ -92,7 +94,7 @@ fn bursty_multi_client_streams_stay_ordered_and_correct() {
 
 #[test]
 fn parallel_epoch_runtime_is_correct_and_reports_thread_occupancy() {
-    // End-to-end through `Runtime::start_tfhe`: each worker shards its
+    // End-to-end through `Runtime::start_multi_tenant`: each worker shards its
     // epochs across 3 PBS threads. Results must decode exactly as with
     // the single-threaded executor (the crypto layer guarantees
     // bit-identity; here we check the whole pipeline plus metrics).
@@ -103,12 +105,12 @@ fn parallel_epoch_runtime_is_correct_and_reports_thread_occupancy() {
     let params = TfheParameters::testing_fast();
     let (client_key, server_key) = generate_keys(&params, 0x9A7A11E1);
     let geometry = BatchGeometry::explicit(2, 4);
-    let runtime = Runtime::start_tfhe(
+    let runtime = Runtime::start_multi_tenant(
         RuntimeConfig::new(geometry)
             .with_max_delay(Duration::from_millis(3))
             .with_workers(2)
             .with_threads_per_worker(THREADS),
-        Arc::new(server_key),
+        Arc::new(KeyRegistry::pinned(Arc::new(server_key))),
     );
     let lut =
         Arc::new(Lut::from_function(params.polynomial_size, BITS, |m| (5 * m + 2) % 8).unwrap());
@@ -187,12 +189,12 @@ fn observability_pipeline_traces_spans_and_attributes_latency_end_to_end() {
 
     let params = TfheParameters::testing_fast();
     let (client_key, server_key) = generate_keys(&params, 0x0B5E7);
-    let runtime = Runtime::start_tfhe(
+    let runtime = Runtime::start_multi_tenant(
         RuntimeConfig::new(BatchGeometry::explicit(2, 4))
             .with_max_delay(Duration::from_millis(3))
             .with_workers(2)
             .with_profile_every(1),
-        Arc::new(server_key),
+        Arc::new(KeyRegistry::pinned(Arc::new(server_key))),
     );
     let lut = Arc::new(Lut::from_function(params.polynomial_size, BITS, |m| (m + 1) % 8).unwrap());
 
@@ -302,4 +304,45 @@ fn shutdown_drains_every_accepted_request() {
         let err = handle.submit(LweCiphertext::trivial(8, 0), RequestOp::Keyswitch).unwrap_err();
         assert!(matches!(err, strix::runtime::RuntimeError::Shutdown));
     }
+}
+
+/// A fault-injecting executor: panics on its first epoch, then echoes
+/// inputs back.
+struct PanicsOnceExecutor {
+    panicked: AtomicBool,
+}
+
+impl BatchExecutor for PanicsOnceExecutor {
+    fn execute(&self, batch: &[Request]) -> Vec<Result<LweCiphertext, TfheError>> {
+        if !self.panicked.swap(true, Ordering::SeqCst) {
+            panic!("injected executor fault");
+        }
+        batch.iter().map(|r| Ok(r.ct.clone())).collect()
+    }
+}
+
+#[test]
+fn executor_panic_fails_its_epoch_and_the_worker_keeps_serving() {
+    // One worker and one-request epochs: request 0's epoch panics. Its
+    // client must get `Lost` instead of blocking, and the only worker
+    // must survive to serve request 1.
+    let runtime = Runtime::start(
+        RuntimeConfig::new(BatchGeometry::explicit(1, 1)).with_workers(1),
+        PanicsOnceExecutor { panicked: AtomicBool::new(false) },
+    );
+    let mut handle = runtime.client();
+    for i in 0..2 {
+        handle.submit(LweCiphertext::trivial(8, i), RequestOp::Keyswitch).unwrap();
+    }
+    let limit = Duration::from_secs(10);
+    let first = handle.recv_timeout(limit).expect("the panicked epoch still answers");
+    assert_eq!(first.seq, 0);
+    assert!(matches!(first.result, Err(RuntimeError::Lost)), "got {:?}", first.result);
+    let second = handle.recv_timeout(limit).expect("the worker survived the panic");
+    assert_eq!(second.seq, 1);
+    assert_eq!(second.result.expect("healthy epoch succeeds").body(), 1);
+
+    let report = runtime.shutdown();
+    assert_eq!(report.requests_failed, 1);
+    assert_eq!(report.requests_completed, 1);
 }

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use strix::core::BatchGeometry;
 use strix::runtime::session::{Program, ProgramSession, Wire};
-use strix::runtime::{Runtime, RuntimeConfig, TfheExecutor};
+use strix::runtime::{KeyRegistry, Runtime, RuntimeConfig};
 use strix::tfhe::boolean::BinaryGate;
 use strix::tfhe::bootstrap::decode_bool;
 use strix::tfhe::lwe::LweCiphertext;
@@ -70,13 +70,15 @@ fn concurrent_circuit_clients_beat_sequential_epoch_occupancy() {
         .with_workers(1);
 
     // One sequential client.
-    let runtime = Runtime::start(config, TfheExecutor::new(Arc::clone(&server_key)));
+    let runtime =
+        Runtime::start_multi_tenant(config, Arc::new(KeyRegistry::pinned(Arc::clone(&server_key))));
     run_circuit_mix(&runtime, client_key.clone(), 5, 3);
     let sequential = runtime.shutdown();
     assert_eq!(sequential.requests_failed, 0);
 
     // Eight concurrent clients, same mix each.
-    let runtime = Runtime::start(config, TfheExecutor::new(Arc::clone(&server_key)));
+    let runtime =
+        Runtime::start_multi_tenant(config, Arc::new(KeyRegistry::pinned(Arc::clone(&server_key))));
     std::thread::scope(|scope| {
         for c in 0..CLIENTS {
             let key = client_key.clone();
@@ -123,11 +125,11 @@ fn streamed_deep_nn_matches_synchronous_and_plaintext() {
 
     let sync = program.run_sync(&server_key, &inputs).unwrap();
 
-    let runtime = Runtime::start(
+    let runtime = Runtime::start_multi_tenant(
         RuntimeConfig::new(BatchGeometry::explicit(2, 2))
             .with_max_delay(Duration::from_millis(2))
             .with_workers(2),
-        TfheExecutor::new(Arc::new(server_key)),
+        Arc::new(KeyRegistry::pinned(Arc::new(server_key))),
     );
     let mut handle = runtime.client();
     let session = ProgramSession::new(&program, inputs).unwrap();
@@ -151,11 +153,11 @@ fn failed_session_leaves_the_handle_clean_for_the_next_one() {
     // so the same handle can run a healthy session afterwards.
     let (client_key, server_key) = keys().clone();
     let mut key = client_key;
-    let runtime = Runtime::start(
+    let runtime = Runtime::start_multi_tenant(
         RuntimeConfig::new(BatchGeometry::explicit(2, 2))
             .with_max_delay(Duration::from_millis(2))
             .with_workers(1),
-        TfheExecutor::new(Arc::new(server_key)),
+        Arc::new(KeyRegistry::pinned(Arc::new(server_key))),
     );
     let mut handle = runtime.client();
 
@@ -221,11 +223,11 @@ proptest! {
 
         let sync = program.run_sync(&server_key, &inputs).unwrap();
 
-        let runtime = Runtime::start(
+        let runtime = Runtime::start_multi_tenant(
             RuntimeConfig::new(BatchGeometry::explicit(2, 2))
                 .with_max_delay(Duration::from_millis(2))
                 .with_workers(2),
-            TfheExecutor::new(Arc::new(server_key)),
+            Arc::new(KeyRegistry::pinned(Arc::new(server_key))),
         );
         let mut handle = runtime.client();
         let session = ProgramSession::new(&program, inputs).unwrap();
